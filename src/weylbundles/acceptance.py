@@ -22,7 +22,7 @@ from .connection import (
     idempotent_trace_recursive,
     unit_in_degree,
 )
-from .gwa import GwaAlgebra, GwaElem
+from .gwa import GwaAlgebra
 from .grading import (
     ambient_graded_view,
     compose_witnesses,
@@ -36,30 +36,14 @@ from .sampling import (
     random_homogeneous_amb,
     random_unipoly,
 )
-from .traces import CyclicTrace, chern_pairing, verify_trace
+from .traces import CyclicTrace, chern_pairing, record_check, verify_trace
 
 PRESETS = ("sphere", "lens(2,1,2)", "kleinian-demo")
 LEVEL_RANGE = range(-4, 5)
 
 
-def _check(checks: list, name: str, params: dict, expected, got) -> None:
-    checks.append({
-        "check": name,
-        "params": params,
-        "expected": str(expected),
-        "got": str(got),
-        "pass": expected == got,
-    })
-
-
 def _record_bool(checks: list, name: str, params: dict, ok: bool, detail: str = "") -> None:
-    checks.append({
-        "check": name,
-        "params": params,
-        "expected": "true",
-        "got": "true" if ok else (detail or "false"),
-        "pass": ok,
-    })
+    record_check(checks, name, params, "true", "true" if ok else detail or "false")
 
 
 # -- 1 ----------------------------------------------------------------
@@ -72,9 +56,9 @@ def criterion_index_pairing() -> list[dict]:
         for zeta in cfg.nonzero_zetas():
             for n in LEVEL_RANGE:
                 got = chern_pairing(amb, zeta, n)
-                _check(checks, "index-pairing",
-                       {"preset": name, "zeta": str(zeta), "n": n},
-                       Fraction(-n), got)
+                record_check(checks, "index-pairing",
+                             {"preset": name, "zeta": str(zeta), "n": n},
+                             Fraction(-n), got)
     return checks
 
 
@@ -102,8 +86,8 @@ def criterion_idempotency() -> list[dict]:
         amb = preset(name).ambient_algebra()
         for n in LEVEL_RANGE:
             mat = idempotent(amb, n)  # projection of every entry happens here
-            _check(checks, "idempotent-size", {"preset": name, "n": n},
-                   2 ** abs(n), mat.size)
+            record_check(checks, "idempotent-size", {"preset": name, "n": n},
+                         2 ** abs(n), mat.size)
             _record_bool(checks, "idempotent-squares-to-itself",
                          {"preset": name, "n": n}, mat.is_idempotent())
     return checks
@@ -118,10 +102,10 @@ def criterion_trace_oracle() -> list[dict]:
         for n in range(1, 5):
             direct = idempotent_trace(amb, n)
             recursive = idempotent_trace_recursive(amb, n)
-            _check(checks, "idempotent-trace-oracle", {"preset": name, "n": n},
-                   recursive, direct)
-            _check(checks, "idempotent-trace-at-zero", {"preset": name, "n": n},
-                   Fraction(1), direct(0))
+            record_check(checks, "idempotent-trace-oracle", {"preset": name, "n": n},
+                         recursive, direct)
+            record_check(checks, "idempotent-trace-at-zero", {"preset": name, "n": n},
+                         Fraction(1), direct(0))
     return checks
 
 
@@ -140,8 +124,8 @@ def criterion_trace_axioms() -> list[dict]:
             shifted = f.compose_linear(alg.q, alg.r)
             if trace.on_poly(f) - trace.on_poly(shifted) != f(trace.zeta) - f(0):
                 failures += 1
-        _check(checks, "shift-identity-failures", {"q": "4", "r": str(r), "samples": 100},
-               0, failures)
+        record_check(checks, "shift-identity-failures", {"q": "4", "r": str(r), "samples": 100},
+                     0, failures)
         report = verify_trace(trace, alg, bound=3, pairs=100, rng=Random(52))
         _record_bool(checks, "trace-verification", {"q": "4", "r": str(r)},
                      report.passed, detail=f"{len(report.failures())} failures")
@@ -149,29 +133,44 @@ def criterion_trace_axioms() -> list[dict]:
 
 
 # -- 6 ----------------------------------------------------------------
-_WORD_LETTERS = ("x", "y", "z")
+def _power_words(f: UniPoly, letters: tuple, scale=1) -> list[tuple[tuple, Fraction]]:
+    """f(scale * w) as a combination of words, w the product of ``letters``."""
+    return [(letters * d, c * scale**d) for d, c in f.coeffs.items()]
 
 
-def _poly_words(f: UniPoly) -> list[tuple[tuple[str, ...], Fraction]]:
-    return [(("z",) * d, c) for d, c in f.coeffs.items()]
-
-
-def _free_reduce(alg: GwaAlgebra, word: tuple[str, ...]) -> GwaElem:
-    """Normal form by naive leftmost single-relation rewriting.
-
-    Rules, each a single defining relation applied to one adjacent pair:
-    y x -> p(z), x y -> p(qz + r), z x -> x (z - r)/q, z y -> y (qz + r).
-    Independent of the product engine.
-    """
-    sigma_p = alg.sigma.apply(1, alg.p)
-    rules: dict[tuple[str, str], list[tuple[tuple[str, ...], Fraction]]] = {
-        ("y", "x"): _poly_words(alg.p),
-        ("x", "y"): _poly_words(sigma_p),
+def _gwa_rules(alg: GwaAlgebra) -> dict:
+    """y x -> p(z), x y -> p(qz + r), z x -> x (z - r)/q, z y -> y (qz + r)."""
+    return {
+        ("y", "x"): _power_words(alg.p, ("z",)),
+        ("x", "y"): _power_words(alg.sigma.apply(1, alg.p), ("z",)),
         ("z", "x"): [(("x", "z"), 1 / alg.q), (("x",), -alg.r / alg.q)],
         ("z", "y"): [(("y", "z"), alg.q), (("y",), alg.r)],
     }
-    result = alg.zero()
-    stack: list[tuple[tuple[str, ...], Fraction]] = [(word, Fraction(1))]
+
+
+def _ambient_rules(amb: AmbientAlgebra) -> dict:
+    """xp xm -> pt(zp zm), xm xp -> pt(q zp zm), zm zp -> zp zm,
+    z(pm) xm -> 1/q(pm) xm z(pm) and z(pm) xp -> q(pm) xp z(pm)."""
+    rules = {
+        ("xp", "xm"): _power_words(amb.p_reduced, ("zp", "zm")),
+        ("xm", "xp"): _power_words(amb.p_reduced, ("zp", "zm"), amb.q),
+        ("zm", "zp"): [(("zp", "zm"), Fraction(1))],
+    }
+    for z, qz in (("zp", amb.q_plus), ("zm", amb.q_minus)):
+        rules[(z, "xm")] = [(("xm", z), 1 / qz)]
+        rules[(z, "xp")] = [(("xp", z), qz)]
+    return rules
+
+
+def _free_reduce(rules: dict, word: tuple[str, ...]) -> dict[tuple, Fraction]:
+    """Normal form by naive leftmost single-relation rewriting.
+
+    Each rule rewrites one adjacent pair of letters by a single defining
+    relation; the words no rule applies to come back with their
+    coefficients.  Independent of the product engine.
+    """
+    result: dict[tuple, Fraction] = {}
+    stack = [(word, Fraction(1))]
     while stack:
         w, c = stack.pop()
         for i in range(len(w) - 1):
@@ -182,13 +181,34 @@ def _free_reduce(alg: GwaAlgebra, word: tuple[str, ...]) -> GwaElem:
                         stack.append((w[:i] + body + w[i + 2:], c * factor))
                 break
         else:
-            d = w.count("x") - w.count("y")
-            result = result + alg.monomial(d, UniPoly({w.count("z"): c}))
+            result[w] = result.get(w, Fraction(0)) + c
     return result
 
 
+def _oracle_mismatches(alg, gens: dict, rules: dict, basis, max_len: int) -> tuple[int, int]:
+    """(mismatches, words) of engine products against the free-word oracle.
+
+    Every word in ``gens`` of length 1..max_len is multiplied out by the
+    engine and reduced by ``rules``; ``basis(word, c)`` reads an irreducible
+    word as c times a basis element.
+    """
+    mismatches = total = 0
+    for length in range(1, max_len + 1):
+        for word in itertools.product(gens, repeat=length):
+            total += 1
+            engine = alg.one()
+            for letter in word:
+                engine = engine * gens[letter]
+            oracle = alg.zero()
+            for w, c in _free_reduce(rules, word).items():
+                oracle = oracle + basis(w, c)
+            if engine != oracle:
+                mismatches += 1
+    return mismatches, total
+
+
 def criterion_gwa_engine() -> list[dict]:
-    """Pair products, associativity and the free-word rewriting oracle."""
+    """Pair products, associativity and the free-word rewriting oracles."""
     checks: list[dict] = []
     algebras = [
         ("sphere", preset("sphere").gwa_algebra()),
@@ -197,10 +217,10 @@ def criterion_gwa_engine() -> list[dict]:
     for label, alg in algebras:
         for n in range(5):
             s = auto_shift_product(alg.p, alg.sigma, n)
-            _check(checks, "ynxn-product", {"algebra": label, "n": n},
-                   alg.from_poly(s), alg.y() ** n * alg.x() ** n)
-            _check(checks, "xnyn-product", {"algebra": label, "n": n},
-                   alg.from_poly(alg.sigma.apply(n, s)), alg.x() ** n * alg.y() ** n)
+            record_check(checks, "ynxn-product", {"algebra": label, "n": n},
+                         alg.from_poly(s), alg.y() ** n * alg.x() ** n)
+            record_check(checks, "xnyn-product", {"algebra": label, "n": n},
+                         alg.from_poly(alg.sigma.apply(n, s)), alg.x() ** n * alg.y() ** n)
     rng = Random(53)
     failures = 0
     for i in range(100):
@@ -208,20 +228,26 @@ def criterion_gwa_engine() -> list[dict]:
         a, b, c = (random_gwa_elem(alg, rng) for _ in range(3))
         if (a * b) * c != a * (b * c):
             failures += 1
-    _check(checks, "associativity-failures", {"samples": 100}, 0, failures)
+    record_check(checks, "associativity-failures", {"samples": 100}, 0, failures)
     for label, alg in algebras:
-        mismatches = 0
-        total = 0
-        for length in range(1, 6):
-            for word in itertools.product(_WORD_LETTERS, repeat=length):
-                total += 1
-                engine = alg.one()
-                for letter in word:
-                    engine = engine * {"x": alg.x(), "y": alg.y(), "z": alg.z()}[letter]
-                if engine != _free_reduce(alg, word):
-                    mismatches += 1
-        _check(checks, "free-reduction-mismatches",
-               {"algebra": label, "words": total}, 0, mismatches)
+        mismatches, total = _oracle_mismatches(
+            alg, {"x": alg.x(), "y": alg.y(), "z": alg.z()}, _gwa_rules(alg),
+            lambda w, c: alg.monomial(
+                w.count("x") - w.count("y"), UniPoly({w.count("z"): c})),
+            5)
+        record_check(checks, "free-reduction-mismatches",
+                     {"algebra": label, "words": total}, 0, mismatches)
+    for name in PRESETS:
+        amb = preset(name).ambient_algebra()
+        gens = {"xp": amb.x_plus(), "xm": amb.x_minus(),
+                "zp": amb.z_plus(), "zm": amb.z_minus()}
+        mismatches, total = _oracle_mismatches(
+            amb, gens, _ambient_rules(amb),
+            lambda w, c: amb.basis_elem(
+                w.count("xm") - w.count("xp"), w.count("zp"), w.count("zm"), c),
+            4)
+        record_check(checks, "free-reduction-mismatches",
+                     {"preset": name, "words": total}, 0, mismatches)
     return checks
 
 
@@ -245,8 +271,8 @@ def criterion_degree_zero_part() -> list[dict]:
             ("yz=inv(q)(z-r)y", y * z,
              embed_degree_zero(amb, gwa.from_poly(sigma.apply(-1, UniPoly.gen()))) * y),
         ):
-            _check(checks, "embedding-respects-relation",
-                   {"preset": name, "relation": label}, rhs, lhs)
+            record_check(checks, "embedding-respects-relation",
+                         {"preset": name, "relation": label}, rhs, lhs)
         hom_failures = 0
         round_failures = 0
         for _ in range(34):
@@ -259,10 +285,10 @@ def criterion_degree_zero_part() -> list[dict]:
             h = random_homogeneous_amb(amb, rng, 0)
             if embed_degree_zero(amb, project_degree_zero(amb, h)) != h:
                 round_failures += 1
-        _check(checks, "embedding-homomorphism-failures",
-               {"preset": name, "samples": 34}, 0, hom_failures)
-        _check(checks, "embedding-roundtrip-failures",
-               {"preset": name, "samples": 68}, 0, round_failures)
+        record_check(checks, "embedding-homomorphism-failures",
+                     {"preset": name, "samples": 34}, 0, hom_failures)
+        record_check(checks, "embedding-roundtrip-failures",
+                     {"preset": name, "samples": 68}, 0, round_failures)
     return checks
 
 
@@ -334,7 +360,7 @@ def criterion_degenerate_case() -> list[dict]:
         pair = unit_in_degree(amb, n)  # self-verifies the inverse
         _record_bool(checks, "unit-in-degree", {"n": n}, pair is not None,
                      "no unit returned")
-    _check(checks, "no-admissible-zeta", {"p": str(cfg.p)}, 0, len(cfg.nonzero_zetas()))
+    record_check(checks, "no-admissible-zeta", {"p": str(cfg.p)}, 0, len(cfg.nonzero_zetas()))
     for zeta in (1, -1, 2):
         try:
             CyclicTrace.for_algebra(cfg.gwa_algebra(), zeta)
@@ -376,7 +402,7 @@ CRITERIA: tuple[tuple[str, str, object], ...] = (
     ("3-idempotency", "E(n)^2 = E(n) with degree-zero entries", criterion_idempotency),
     ("4-trace-oracle", "idempotent traces match the polynomial recursion", criterion_trace_oracle),
     ("5-trace-axioms", "shift identity, commutator vanishing, cyclicity", criterion_trace_axioms),
-    ("6-gwa-engine", "pair products, associativity, free-word oracle", criterion_gwa_engine),
+    ("6-gwa-engine", "pair products, associativity, free-word oracles", criterion_gwa_engine),
     ("7-degree-zero-part", "embedding and projection identify the degree-zero part", criterion_degree_zero_part),
     ("8-grading-lab", "witness searches and composition across the chain", criterion_grading_lab),
     ("9-degenerate-case", "units in every degree, no admissible zeta", criterion_degenerate_case),

@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import acceptance
 from .config import Config, load_config, preset
 from .connection import (
+    DEFAULT_LEVEL_CAP,
     check_connection,
     connection_power,
     connection_power_alt,
@@ -29,13 +30,6 @@ from .expr import (
 )
 from .grading import ambient_graded_view, induced_quotient_view, veronese_view, witness_search
 from .gwa import GwaAlgebra
-from .numrep import (
-    dump_matrices_csv,
-    one_dim_rep,
-    one_dim_residuals,
-    relation_residuals,
-    truncated_rep,
-)
 from .poly import frac
 from .traces import CyclicTrace, chern_pairing, verify_trace
 
@@ -156,10 +150,10 @@ def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> int:
     amb = cfg.ambient_algebra()
     view = ambient_graded_view(amb)
     label = "ambient"
-    if args.quotient:
+    if args.quotient is not None:
         view = induced_quotient_view(view, args.quotient)
         label = f"quotient mod {args.quotient}"
-    elif args.veronese:
+    elif args.veronese is not None:
         view = veronese_view(view, args.veronese)
         label = f"veronese {args.veronese}"
     witness = witness_search(view, args.degree, args.bound)
@@ -187,11 +181,14 @@ def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> int:
 
 
 def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> int:
+    from . import numrep  # numpy loads only for this command
+
+    zeta = frac(args.zeta)
     alg = cfg.gwa_algebra()
     code = PASS
     for lam in (1, -1):
-        rep = one_dim_rep(alg, lam)
-        residuals = one_dim_residuals(alg, rep)
+        rep = numrep.one_dim_rep(alg, lam)
+        residuals = numrep.one_dim_residuals(alg, rep)
         worst = max(residuals.values())
         ok = worst < 1e-12
         out.emit({"check": "one-dim-rep", "params": {"lam": lam, "rep": rep},
@@ -201,10 +198,10 @@ def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> int:
         raise ValueError("the truncated representation needs r = 0")
     q = cfg.q if 0 < cfg.q < 1 else 1 / cfg.q
     trunc_alg = GwaAlgebra(cfg.p, q, Fraction(0))
-    rep = truncated_rep(trunc_alg, frac(args.zeta), args.dim)
+    rep = numrep.truncated_rep(trunc_alg, zeta, args.dim)
     if args.dump_csv:
-        out.emit({"command": "rep-check", "csv": dump_matrices_csv(rep, args.dump_csv)})
-    report = relation_residuals(rep)
+        out.emit({"command": "rep-check", "csv": numrep.dump_matrices_csv(rep, args.dump_csv)})
+    report = numrep.relation_residuals(rep)
     worst = max(report["relations"].values())
     ok = worst < 1e-10
     out.emit({"check": "truncated-rep",
@@ -235,6 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="named preset: sphere, lens(k,l,q), kleinian-demo")
     parser.add_argument("--text", action="store_true", help="human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--n", type=int, required=True)
+    level.add_argument("--max-level", type=int, default=DEFAULT_LEVEL_CAP,
+                       help="pair count grows as 2^|n|; raise deliberately")
 
     p = sub.add_parser("normalize", help="print the normal form of an expression")
     p.add_argument("expr")
@@ -245,23 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(func=_cmd_mul)
 
-    p = sub.add_parser("connection", help="print and check the level-n connection tensor")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-level", type=int, default=5,
-                   help="pair count grows as 2^|n|; raise deliberately")
+    p = sub.add_parser("connection", parents=[level],
+                       help="print and check the level-n connection tensor")
     p.set_defaults(func=_cmd_connection)
 
-    p = sub.add_parser("idempotent", help="print and check the level-n idempotent")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-level", type=int, default=5,
-                   help="pair count grows as 2^|n|; raise deliberately")
+    p = sub.add_parser("idempotent", parents=[level],
+                       help="print and check the level-n idempotent")
     p.set_defaults(func=_cmd_idempotent)
 
-    p = sub.add_parser("chern", help="pair the cyclic trace with the level-n idempotent")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("chern", parents=[level],
+                       help="pair the cyclic trace with the level-n idempotent")
     p.add_argument("--zeta", help="nonzero root of p (default: all listed roots)")
-    p.add_argument("--max-level", type=int, default=5,
-                   help="pair count grows as 2^|n|; raise deliberately")
     p.set_defaults(func=_cmd_chern)
 
     p = sub.add_parser("trace-check", help="verify the trace property")

@@ -200,17 +200,8 @@ class IdemMatrix:
         return len(self.entries)
 
     def matmul(self, other: "IdemMatrix") -> "IdemMatrix":
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for l in range(1, n):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return IdemMatrix(self.n, tuple(rows))
+        rows = tuple(tuple(_row_times(row, other.entries)) for row in self.entries)
+        return IdemMatrix(self.n, rows)
 
     def is_idempotent(self) -> bool:
         return self.matmul(self).entries == self.entries
@@ -229,6 +220,18 @@ class IdemMatrix:
         }
 
 
+def _row_times(row, mat) -> list[GwaElem]:
+    """The row vector ``row`` times the square matrix ``mat`` (a tuple of rows)."""
+    n = len(mat)
+    out = []
+    for j in range(n):
+        acc = row[0] * mat[0][j]
+        for l in range(1, n):
+            acc = acc + row[l] * mat[l][j]
+        out.append(acc)
+    return out
+
+
 def idempotent(amb: AmbientAlgebra, n: int,
                max_level: int = DEFAULT_LEVEL_CAP) -> IdemMatrix:
     """The idempotent presenting the level-n module over the degree-zero part.
@@ -236,7 +239,10 @@ def idempotent(amb: AmbientAlgebra, n: int,
     Entry (i, j) is the projection of right leg i times left leg j; the
     connection identity at level n makes the matrix square to itself.
     """
-    t = connection_power(amb, n, max_level)
+    return _idempotent_of(amb, n, connection_power(amb, n, max_level))
+
+
+def _idempotent_of(amb: AmbientAlgebra, n: int, t: Tensor2) -> IdemMatrix:
     rows = []
     for _, right_i in t.pairs:
         row = tuple(
@@ -258,9 +264,9 @@ def idempotent_trace(amb: AmbientAlgebra, n: int,
     acc = amb.zero()
     for left, right in t.pairs:
         acc = acc + right * left
-    if not set(acc.terms) <= {0}:
+    if not acc.is_poly():
         raise RuntimeError("internal error: idempotent trace has generator terms")
-    return acc.terms.get(0, PairPoly.zero()).as_diagonal()
+    return acc.poly_part().as_diagonal()
 
 
 def idempotent_trace_recursive(amb: AmbientAlgebra, n: int) -> UniPoly:
@@ -304,15 +310,8 @@ def module_row(amb: AmbientAlgebra, n: int, a: AmbientElem,
     if deg != n * amb.k:
         raise ValueError(f"element has degree {deg}, expected {n * amb.k}")
     t = connection_power(amb, n, max_level)
-    e_mat = idempotent(amb, n, max_level)
     coeffs = [project_degree_zero(amb, a * left) for left, _ in t.pairs]
-    row = []
-    for j in range(e_mat.size):
-        acc = coeffs[0] * e_mat.entries[0][j]
-        for i in range(1, e_mat.size):
-            acc = acc + coeffs[i] * e_mat.entries[i][j]
-        row.append(acc)
-    return row
+    return _row_times(coeffs, _idempotent_of(amb, n, t).entries)
 
 
 def unit_in_degree(amb: AmbientAlgebra, n: int

@@ -13,10 +13,17 @@ rewriting rules
 
 applied one generator pair at a time.  All values are immutable and all
 operations pure.
+
+:class:`GwaElem` and :func:`_term_mul` are the package's one product
+engine, for any algebra of this shape over a commutative base ring with an
+automorphism sigma.  The algebra supplies ``one()``, ``shift(j, f)`` (f
+under sigma^j, so f x = x shift(-1, f)) and ``yx`` (the value of y x, so
+x y = shift(1, yx)).  Here sigma(z) = q z + r and yx = p;
+:mod:`weylbundles.ambient` supplies its own over K[z+, z-].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -32,6 +39,7 @@ class GwaAlgebra:
     p: UniPoly
     q: Fraction
     r: Fraction
+    sigma: AffineAuto = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", frac(self.q))
@@ -40,10 +48,15 @@ class GwaAlgebra:
             raise ValueError("algebra needs q != 0")
         if not self.p:
             raise ValueError("algebra needs p != 0")
+        object.__setattr__(self, "sigma", AffineAuto(self.q, self.r))
 
+    # -- the product engine's contract -----------------------------------
     @property
-    def sigma(self) -> AffineAuto:
-        return AffineAuto(self.q, self.r)
+    def yx(self) -> UniPoly:
+        return self.p
+
+    def shift(self, j: int, f: UniPoly) -> UniPoly:
+        return self.sigma.apply(j, f)
 
     # -- element constructors ------------------------------------------
     def elem(self, terms: Mapping[int, UniPoly]) -> "GwaElem":
@@ -78,6 +91,8 @@ class GwaElem:
     """Normal-form element: map d -> polynomial, zero polynomials stripped."""
 
     __slots__ = ("alg", "terms")
+    # printed names of the generators with positive and negative keys
+    _GENS = ("x", "y")
 
     def __init__(self, alg: GwaAlgebra, terms: Mapping[int, UniPoly]):
         self.alg = alg
@@ -90,9 +105,9 @@ class GwaElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def poly_part(self) -> UniPoly:
-        """The d = 0 component."""
-        return self.terms.get(0, UniPoly.zero())
+    def poly_part(self):
+        """The d = 0 component, an element of the base ring."""
+        return self.terms.get(0) or type(self.alg.yx).zero()
 
     def is_poly(self) -> bool:
         return set(self.terms) <= {0}
@@ -116,10 +131,10 @@ class GwaElem:
         for d, f in other.terms.items():
             g = data.get(d)
             data[d] = f if g is None else g + f
-        return GwaElem(self.alg, data)
+        return type(self)(self.alg, data)
 
     def __neg__(self) -> "GwaElem":
-        return GwaElem(self.alg, {d: -f for d, f in self.terms.items()})
+        return type(self)(self.alg, {d: -f for d, f in self.terms.items()})
 
     def __sub__(self, other) -> "GwaElem":
         if not isinstance(other, GwaElem):
@@ -129,15 +144,15 @@ class GwaElem:
     def __mul__(self, other) -> "GwaElem":
         if isinstance(other, GwaElem):
             self._check(other)
-            data: dict[int, UniPoly] = {}
+            data: dict = {}
             for d1, f1 in self.terms.items():
                 for d2, f2 in other.terms.items():
                     d, f = _term_mul(self.alg, d1, f1, d2, f2)
                     g = data.get(d)
                     data[d] = f if g is None else g + f
-            return GwaElem(self.alg, data)
+            return type(self)(self.alg, data)
         c = frac(other)
-        return GwaElem(self.alg, {d: f * c for d, f in self.terms.items()})
+        return type(self)(self.alg, {d: f * c for d, f in self.terms.items()})
 
     def __rmul__(self, other) -> "GwaElem":
         # scalars commute; element * element goes through __mul__
@@ -154,43 +169,44 @@ class GwaElem:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        raising, lowering = self._GENS
         parts = []
         for d in sorted(self.terms, reverse=True):
             body = f"({self.terms[d]})"
             if d > 0:
-                head = "x" if d == 1 else f"x^{d}"
+                head = raising if d == 1 else f"{raising}^{d}"
                 parts.append(f"{head}*{body}")
             elif d < 0:
-                head = "y" if d == -1 else f"y^{-d}"
+                head = lowering if d == -1 else f"{lowering}^{-d}"
                 parts.append(f"{head}*{body}")
             else:
                 parts.append(body)
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"GwaElem('{self}')"
+        return f"{type(self).__name__}('{self}')"
 
 
-def _term_mul(alg: GwaAlgebra, d1: int, f1: UniPoly, d2: int, f2: UniPoly
-              ) -> tuple[int, UniPoly]:
+def _term_mul(alg, d1: int, f1, d2: int, f2) -> tuple:
     """Normal form of (block d1 * f1) * (block d2 * f2); always a single term.
 
     First f1 crosses the generator block of the right factor, then opposite
-    blocks annihilate one x y or y x pair at a time.  Each pass shrinks
-    min(|d1|, |d2|) by one, so the loop terminates.
+    blocks annihilate one x y or y x pair at a time, and the base-ring value
+    of the pair crosses what is left of the right block.  Each pass shrinks
+    min(|d1|, |d2|) by one, so the loop terminates.  Uses only the
+    ``shift``/``yx`` contract of the module docstring.
     """
-    sigma = alg.sigma
-    f = sigma.apply(-d2, f1) * f2
+    f = alg.shift(-d2, f1) * f2
     while d1 and d2 and (d1 > 0) != (d2 > 0):
         if d1 > 0:
             d1 -= 1
             d2 += 1
-            g = sigma.apply(1, alg.p)   # x y = p(q z + r)
+            j = 1 - d2      # x y = shift(1, yx), then crosses block d2
         else:
             d1 += 1
             d2 -= 1
-            g = alg.p                   # y x = p(z)
-        f = sigma.apply(-d2, g) * f
+            j = -d2         # y x = yx, then crosses block d2
+        f = alg.shift(j, alg.yx) * f
     return d1 + d2, f
 
 

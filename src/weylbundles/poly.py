@@ -17,14 +17,18 @@ Scalar = Fraction
 def frac(x) -> Fraction:
     """Coerce an int, Fraction or string like ``"3/4"`` to an exact rational.
 
-    Floats are rejected: the engines are exact end to end.
+    Floats are rejected: the engines are exact end to end.  A string with a
+    zero denominator is malformed input and raises ``ValueError``.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -47,14 +51,96 @@ def _format_terms(pieces: Iterable[tuple[Fraction, str]]) -> str:
     return "".join(out) if out else "0"
 
 
-class UniPoly:
+class _SparsePoly:
+    """Arithmetic shared by the sparse polynomial types.
+
+    ``coeffs`` maps exponent keys to nonzero coefficients and ``_UNIT`` is
+    the key of the constant monomial.  Each subclass keeps its own
+    ``__init__`` (key validation) and product loop (key addition), the two
+    places where the key type matters.
+    """
+
+    __slots__ = ("coeffs",)
+    _UNIT: object
+
+    @classmethod
+    def _make(cls, data: dict) -> "_SparsePoly":
+        """Wrap an already normalized key -> coefficient dict."""
+        out = cls.__new__(cls)
+        out.coeffs = data
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._make({})
+
+    @classmethod
+    def one(cls):
+        return cls._make({cls._UNIT: Fraction(1)})
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        data = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            v = data.get(k, Fraction(0)) + c
+            if v:
+                data[k] = v
+            else:
+                data.pop(k, None)
+        return self._make(data)
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def _scale(self, other):
+        c = frac(other)
+        return self._make({} if not c else {k: v * c for k, v in self.coeffs.items()})
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+class UniPoly(_SparsePoly):
     """Sparse polynomial in one variable ``z`` with rational coefficients.
 
     Stored as a degree -> coefficient map with no explicit zeros.  The zero
     polynomial has ``degree() is None``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _UNIT = 0
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
         data: dict[int, Fraction] = {}
@@ -71,14 +157,6 @@ class UniPoly:
         self.coeffs = data
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls({0: 1})
-
     @classmethod
     def gen(cls) -> "UniPoly":
         return cls({1: 1})
@@ -103,75 +181,20 @@ class UniPoly:
     def constant_term(self) -> Fraction:
         return self.coeffs.get(0, Fraction(0))
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        data = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            v = data.get(d, Fraction(0)) + c
-            if v:
-                data[d] = v
-            else:
-                data.pop(d, None)
-        out = UniPoly()
-        out.coeffs = data
-        return out
-
-    def __neg__(self) -> "UniPoly":
-        out = UniPoly()
-        out.coeffs = {d: -c for d, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            data: dict[int, Fraction] = {}
-            for d1, c1 in self.coeffs.items():
-                for d2, c2 in other.coeffs.items():
-                    d = d1 + d2
-                    v = data.get(d, Fraction(0)) + c1 * c2
-                    if v:
-                        data[d] = v
-                    else:
-                        del data[d]
-            out = UniPoly()
-            out.coeffs = data
-            return out
-        c = frac(other)
-        out = UniPoly()
-        out.coeffs = {} if not c else {d: v * c for d, v in self.coeffs.items()}
-        return out
-
-    def __rmul__(self, other) -> "UniPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not isinstance(other, UniPoly):
+            return self._scale(other)
+        data: dict[int, Fraction] = {}
+        for d1, c1 in self.coeffs.items():
+            for d2, c2 in other.coeffs.items():
+                d = d1 + d2
+                v = data.get(d, Fraction(0)) + c1 * c2
+                if v:
+                    data[d] = v
+                else:
+                    del data[d]
+        return UniPoly._make(data)
 
     def __call__(self, x) -> Fraction:
         x = frac(x)
@@ -207,9 +230,6 @@ class UniPoly:
             mono = "" if d == 0 else ("z" if d == 1 else f"z^{d}")
             pieces.append((self.coeffs[d], mono))
         return _format_terms(pieces)
-
-    def __repr__(self) -> str:
-        return f"UniPoly('{self}')"
 
 
 def poly_divmod(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -287,13 +307,14 @@ def tail_decompose(pt: UniPoly) -> UniPoly:
     return UniPoly({d - 1: -c for d, c in pt.coeffs.items() if d >= 1})
 
 
-class PairPoly:
+class PairPoly(_SparsePoly):
     """Sparse polynomial in the commuting pair z+, z- over the rationals.
 
     Keys are (a, b) exponent pairs of z+^a z-^b, both >= 0.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _UNIT = (0, 0)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], object] | None = None):
         data: dict[tuple[int, int], Fraction] = {}
@@ -309,14 +330,6 @@ class PairPoly:
                     if not data[key]:
                         del data[key]
         self.coeffs = data
-
-    @classmethod
-    def zero(cls) -> "PairPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PairPoly":
-        return cls({(0, 0): 1})
 
     @classmethod
     def monomial(cls, a: int, b: int, c=1) -> "PairPoly":
@@ -339,74 +352,19 @@ class PairPoly:
         u, v = frac(u), frac(v)
         return PairPoly({(a, b): c * u**a * v**b for (a, b), c in self.coeffs.items()})
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PairPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other) -> "PairPoly":
-        if not isinstance(other, PairPoly):
-            return NotImplemented
-        data = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = data.get(k, Fraction(0)) + c
-            if v:
-                data[k] = v
-            else:
-                data.pop(k, None)
-        out = PairPoly()
-        out.coeffs = data
-        return out
-
-    def __neg__(self) -> "PairPoly":
-        out = PairPoly()
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other) -> "PairPoly":
-        if not isinstance(other, PairPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "PairPoly":
-        if isinstance(other, PairPoly):
-            data: dict[tuple[int, int], Fraction] = {}
-            for (a1, b1), c1 in self.coeffs.items():
-                for (a2, b2), c2 in other.coeffs.items():
-                    k = (a1 + a2, b1 + b2)
-                    v = data.get(k, Fraction(0)) + c1 * c2
-                    if v:
-                        data[k] = v
-                    else:
-                        del data[k]
-            out = PairPoly()
-            out.coeffs = data
-            return out
-        c = frac(other)
-        out = PairPoly()
-        out.coeffs = {} if not c else {k: v * c for k, v in self.coeffs.items()}
-        return out
-
-    def __rmul__(self, other) -> "PairPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "PairPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = PairPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not isinstance(other, PairPoly):
+            return self._scale(other)
+        data: dict[tuple[int, int], Fraction] = {}
+        for (a1, b1), c1 in self.coeffs.items():
+            for (a2, b2), c2 in other.coeffs.items():
+                k = (a1 + a2, b1 + b2)
+                v = data.get(k, Fraction(0)) + c1 * c2
+                if v:
+                    data[k] = v
+                else:
+                    del data[k]
+        return PairPoly._make(data)
 
     def __str__(self) -> str:
         pieces = []
@@ -418,6 +376,3 @@ class PairPoly:
                 parts.append("zm" if b == 1 else f"zm^{b}")
             pieces.append((self.coeffs[(a, b)], "*".join(parts)))
         return _format_terms(pieces)
-
-    def __repr__(self) -> str:
-        return f"PairPoly('{self}')"

@@ -15,7 +15,7 @@ from random import Random
 from typing import Optional
 
 from .ambient import AmbientAlgebra
-from .connection import idempotent_trace
+from .connection import DEFAULT_LEVEL_CAP, idempotent_trace
 from .gwa import AlgebraMismatch, GwaAlgebra, GwaElem, commutator_closed_form
 from .poly import UniPoly, frac
 
@@ -115,7 +115,8 @@ class TraceReport:
         return [c for c in self.checks if not c["pass"]]
 
 
-def _record(checks: list[dict], name: str, params: dict, expected, got) -> bool:
+def record_check(checks: list[dict], name: str, params: dict, expected, got) -> bool:
+    """Append one check record (the JSON-line shape the CLI emits); returns its verdict."""
     ok = expected == got
     checks.append(
         {"check": name, "params": params, "expected": str(expected), "got": str(got), "pass": ok}
@@ -132,6 +133,8 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
     """
     from .sampling import random_gwa_elem
 
+    if bound < 0 or pairs < 0:
+        raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
     rng = rng or Random(20260809)
     checks: list[dict] = []
     ok = True
@@ -139,7 +142,7 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
         for k in range(bound + 1):
             for l in range(bound + 1):
                 got = trace(commutator_closed_form(alg, n, k, l))
-                ok &= _record(
+                ok &= record_check(
                     checks, "commutator-span-vanishes",
                     {"n": n, "k": k, "l": l}, Fraction(0), got,
                 )
@@ -147,12 +150,12 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
         a = random_gwa_elem(alg, rng)
         b = random_gwa_elem(alg, rng)
         got = trace(a * b) - trace(b * a)
-        ok &= _record(checks, "cyclicity", {"sample": i}, Fraction(0), got)
+        ok &= record_check(checks, "cyclicity", {"sample": i}, Fraction(0), got)
     return TraceReport(ok, checks)
 
 
 def chern_pairing(amb: AmbientAlgebra, zeta, n: int,
-                  max_level: int = 5) -> Fraction:
+                  max_level: int = DEFAULT_LEVEL_CAP) -> Fraction:
     """Trace of the level-n idempotent under the cyclic trace at zeta.
 
     zeta must be a nonzero root of p; the value is the integer index of the

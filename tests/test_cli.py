@@ -191,3 +191,28 @@ def test_unknown_preset_is_usage_error(capsys):
 def test_parse_error_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "normalize", "x^-1")
     assert code == 2 and "exponent" in err
+
+
+def usage_error(capsys, *args) -> str:
+    code, records, err = run_cli(capsys, *args)
+    assert code == 2 and records == []
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ("--preset", "lens(2,1,1/0)", "chern", "--n", "1"),
+    ("rep-check", "--zeta", "1/0"),
+])
+def test_zero_denominator_is_usage_error(capsys, args):
+    assert "zero denominator" in usage_error(capsys, *args)
+
+
+@pytest.mark.parametrize("option", ["--quotient", "--veronese"])
+def test_grading_check_zero_modulus_is_usage_error(capsys, option):
+    assert "k must be >= 1" in usage_error(
+        capsys, "--preset", "lens(2,1,2)", "grading-check", "--degree", "1", option, "0")
+
+
+@pytest.mark.parametrize("bound,pairs", [("-1", "0"), ("1", "-1")])
+def test_trace_check_negative_sizes_is_usage_error(capsys, bound, pairs):
+    assert ">= 0" in usage_error(capsys, "trace-check", "--bound", bound, "--pairs", pairs)
