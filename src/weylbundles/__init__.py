@@ -51,14 +51,14 @@ from .poly import (
     poly_divmod,
     tail_decompose,
 )
-from .traces import CyclicTrace, TraceReport, chern_pairing, verify_trace
+from .traces import CyclicTrace, chern_pairing, verify_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineAuto", "AlgebraMismatch", "AmbientAlgebra", "AmbientElem",
     "Config", "CyclicTrace", "GradedView", "GwaAlgebra", "GwaElem",
-    "IdemMatrix", "PairPoly", "Tensor2", "TraceReport", "UniPoly", "Witness",
+    "IdemMatrix", "PairPoly", "Tensor2", "UniPoly", "Witness",
     "ambient_graded_view", "apply_auto", "auto_shift_product",
     "check_connection", "chern_pairing", "commutator",
     "commutator_closed_form", "compose_witnesses", "connection_power",

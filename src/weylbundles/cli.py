@@ -1,14 +1,19 @@
 """Command-line verification interface.
 
 Reports go to stdout as JSON lines (``--text`` switches to human-readable
-lines).  Exit codes: 0 all checks passed, 1 a verification failed, 2 usage
-or configuration error.
+lines).  The records alone carry the verdicts, and ``main`` alone picks
+the exit code: 0 no record failed, 1 some record has ``"pass": false``,
+2 usage or configuration error (one ``{"error": ...}`` line on stderr),
+3 internal error (a traceback and one ``{"error": ..., "kind": "internal"}``
+line on stderr).  ``verify-all`` streams one summary per criterion as it
+finishes; a criterion that ran no checks fails.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import acceptance
@@ -31,24 +36,29 @@ from .expr import (
 from .grading import ambient_graded_view, induced_quotient_view, veronese_view, witness_search
 from .gwa import GwaAlgebra
 from .poly import frac
-from .traces import CyclicTrace, chern_pairing, verify_trace
+from .traces import CyclicTrace, chern_pairing, record_check, verify_trace
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 class _Reporter:
+    """Prints records and remembers whether any of them failed."""
+
     def __init__(self, text: bool):
         self.text = text
+        self.failed = False
 
     def emit(self, record: dict):
+        self.failed |= not record.get("pass", True)
         if self.text:
             status = ""
             if "pass" in record:
                 status = "PASS " if record["pass"] else "FAIL "
             body = ", ".join(f"{k}={v}" for k, v in record.items() if k != "pass")
-            print(f"{status}{body}")
+            line = f"{status}{body}"
         else:
-            print(json.dumps(record))
+            line = json.dumps(record)
+        print(line, flush=True)  # a piped verify-all shows each summary as it is made
 
 
 def _eval_element(cfg: Config, text: str):
@@ -68,24 +78,22 @@ def _eval_element(cfg: Config, text: str):
     raise ParseError(f"mixed or unknown generators: {sorted(used)}", 0)
 
 
-def _cmd_normalize(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_normalize(cfg: Config, args, out: _Reporter) -> None:
     kind, value = _eval_element(cfg, args.expr)
     out.emit({"command": "normalize", "algebra": kind, "input": args.expr,
               "result": str(value)})
-    return PASS
 
 
-def _cmd_mul(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_mul(cfg: Config, args, out: _Reporter) -> None:
     kind1, e1 = _eval_element(cfg, args.left)
     kind2, e2 = _eval_element(cfg, args.right)
     if kind1 != kind2:
         raise ParseError("factors live in different algebras", 0)
     out.emit({"command": "mul", "algebra": kind1, "left": args.left,
               "right": args.right, "result": str(e1 * e2)})
-    return PASS
 
 
-def _cmd_connection(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_connection(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
     t = connection_power(amb, args.n, max_level=args.max_level)
     ok = check_connection(t)
@@ -96,57 +104,46 @@ def _cmd_connection(cfg: Config, args, out: _Reporter) -> int:
         "evaluates_to_one": ok, "recursions_agree": agree,
         "pass": ok and agree,
     })
-    return PASS if ok and agree else FAIL
 
 
-def _cmd_idempotent(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_idempotent(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
     mat = idempotent(amb, args.n, max_level=args.max_level)
     ok = mat.is_idempotent()
     record = mat.to_json()
     record.update({"command": "idempotent", "squares_to_itself": ok, "pass": ok})
     out.emit(record)
-    return PASS if ok else FAIL
 
 
-def _cmd_chern(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
     zetas = [frac(args.zeta)] if args.zeta else list(cfg.nonzero_zetas())
     if not zetas:
         raise ValueError("no nonzero root available for the pairing")
-    code = PASS
+    checks: list[dict] = []
     for zeta in zetas:
         got = chern_pairing(amb, zeta, args.n, max_level=args.max_level)
-        ok = got == -args.n
-        out.emit({"check": "chern", "params": {"n": args.n, "zeta": str(zeta)},
-                  "expected": str(-args.n), "got": str(got), "pass": ok})
-        if not ok:
-            code = FAIL
-    return code
+        out.emit(record_check(checks, "chern", {"n": args.n, "zeta": str(zeta)}, -args.n, got))
 
 
-def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
     alg = cfg.gwa_algebra()
     zetas = [frac(args.zeta)] if args.zeta else list(cfg.zetas)
     if not zetas:
         raise ValueError("no root listed for the trace")
-    code = PASS
     for zeta in zetas:
         trace = CyclicTrace.for_algebra(alg, zeta)
-        report = verify_trace(trace, alg, bound=args.bound, pairs=args.pairs)
-        for record in report.failures():
+        records = verify_trace(trace, alg, bound=args.bound, pairs=args.pairs)
+        failures = [c for c in records if not c["pass"]]
+        for record in failures:
             out.emit(record)
-        out.emit({"check": "trace-axioms", "params": {"zeta": str(zeta),
-                  "bound": args.bound, "pairs": args.pairs},
-                  "expected": "no failures",
-                  "got": f"{len(report.failures())} failures",
-                  "pass": report.passed})
-        if not report.passed:
-            code = FAIL
-    return code
+        out.emit({"check": "trace-axioms",
+                  "params": {"zeta": str(zeta), "bound": args.bound, "pairs": args.pairs},
+                  "expected": "no failures", "got": f"{len(failures)} failures",
+                  "pass": not failures})
 
 
-def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
     view = ambient_graded_view(amb)
     label = "ambient"
@@ -171,54 +168,48 @@ def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> int:
             ),
             "pass": True,
         })
-        out.emit(record)
-        return PASS
-    verified = witness.check(view)
-    record.update({"found": True, "witness": witness.to_json(),
-                   "verified": verified, "pass": verified})
+    else:
+        verified = witness.check(view)
+        record.update({"found": True, "witness": witness.to_json(),
+                       "verified": verified, "pass": verified})
     out.emit(record)
-    return PASS if verified else FAIL
 
 
-def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> int:
+def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
     from . import numrep  # numpy loads only for this command
 
+    # every input, the CSV directory included, is checked before the first record
     zeta = frac(args.zeta)
-    alg = cfg.gwa_algebra()
-    code = PASS
-    for lam in (1, -1):
-        rep = numrep.one_dim_rep(alg, lam)
-        residuals = numrep.one_dim_residuals(alg, rep)
-        worst = max(residuals.values())
-        ok = worst < 1e-12
-        out.emit({"check": "one-dim-rep", "params": {"lam": lam, "rep": rep},
-                  "expected": "< 1e-12", "got": f"{worst:.3e}", "pass": ok})
-        code = code if ok else FAIL
+    if args.dim < 3:
+        raise ValueError(f"--dim must be >= 3 so the truncation has an interior index, "
+                         f"got {args.dim}")
     if cfg.r != 0:
         raise ValueError("the truncated representation needs r = 0")
+    alg = cfg.gwa_algebra()
     q = cfg.q if 0 < cfg.q < 1 else 1 / cfg.q
-    trunc_alg = GwaAlgebra(cfg.p, q, Fraction(0))
-    rep = numrep.truncated_rep(trunc_alg, zeta, args.dim)
-    if args.dump_csv:
-        out.emit({"command": "rep-check", "csv": numrep.dump_matrices_csv(rep, args.dump_csv)})
-    report = numrep.relation_residuals(rep)
+    trunc = numrep.truncated_rep(GwaAlgebra(cfg.p, q, Fraction(0)), zeta, args.dim)
+    csv_paths = numrep.dump_matrices_csv(trunc, args.dump_csv) if args.dump_csv else None
+    for lam in (1, -1):
+        rep = numrep.one_dim_rep(alg, lam)  # raises, if at all, already for lam = 1
+        worst = max(numrep.one_dim_residuals(alg, rep).values())
+        out.emit({"check": "one-dim-rep", "params": {"lam": lam, "rep": rep},
+                  "expected": "< 1e-12", "got": f"{worst:.3e}", "pass": worst < 1e-12})
+    if csv_paths is not None:
+        out.emit({"command": "rep-check", "csv": csv_paths})
+    report = numrep.relation_residuals(trunc)
     worst = max(report["relations"].values())
-    ok = worst < 1e-10
     out.emit({"check": "truncated-rep",
               "params": {"zeta": args.zeta, "dim": args.dim, "q": str(q)},
               "relations": report["relations"],
               "interior_indices": report["interior_indices"],
               "positivity_checked_upto": report["positivity_checked_upto"],
-              "expected": "< 1e-10", "got": f"{worst:.3e}", "pass": ok})
-    return code if ok else FAIL
+              "expected": "< 1e-10", "got": f"{worst:.3e}", "pass": worst < 1e-10})
 
 
-def _cmd_verify_all(cfg: Config, args, out: _Reporter) -> int:
-    ok, summaries = acceptance.run_all()
-    for summary in summaries:
+def _cmd_verify_all(cfg: Config, args, out: _Reporter) -> None:
+    for summary in acceptance.run_all():
         out.emit(summary)
-    out.emit({"command": "verify-all", "pass": ok})
-    return PASS if ok else FAIL
+    out.emit({"command": "verify-all", "pass": not out.failed})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,15 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place an exit code is chosen."""
+    args = build_parser().parse_args(argv)
     out = _Reporter(args.text)
     try:
         cfg = load_config(args.config) if args.config else preset(args.preset)
-        return args.func(cfg, args, out)
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+        args.func(cfg, args, out)
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}),
+              file=sys.stderr)
+        return INTERNAL
+    return FAIL if out.failed else PASS
 
 
 if __name__ == "__main__":

@@ -88,25 +88,34 @@ def poly_from_roots(roots: list) -> UniPoly:
 
 
 def config_from_dict(data: dict, name: str = "custom") -> Config:
+    """Build a configuration from parsed JSON; a malformed one raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("q_plus", "q_minus") if key not in data]
+    if missing:
+        raise ValueError(f"config is missing {', '.join(missing)}")
     p_data = data.get("p")
     if not isinstance(p_data, dict) or ("roots" in p_data) == ("coeffs" in p_data):
         raise ValueError('config "p" must carry exactly one of "roots" or "coeffs"')
-    if "roots" in p_data:
-        p = poly_from_roots(p_data["roots"])
-    else:
-        p = UniPoly.from_coeff_list([frac(c) for c in p_data["coeffs"]])
     zetas = data.get("zetas")
     if zetas is None:
         zeta = data.get("zeta")
         zetas = [zeta] if zeta is not None else []
-    return Config(
-        name=data.get("name", name),
-        p=p,
-        q_plus=frac(data["q_plus"]),
-        q_minus=frac(data["q_minus"]),
-        r=frac(data.get("r", "0")),
-        zetas=tuple(frac(z) for z in zetas),
-    )
+    try:
+        if "roots" in p_data:
+            p = poly_from_roots(p_data["roots"])
+        else:
+            p = UniPoly.from_coeff_list([frac(c) for c in p_data["coeffs"]])
+        return Config(
+            name=data.get("name", name),
+            p=p,
+            q_plus=frac(data["q_plus"]),
+            q_minus=frac(data["q_minus"]),
+            r=frac(data.get("r", "0")),
+            zetas=tuple(frac(z) for z in zetas),
+        )
+    except TypeError as exc:  # a float, or a list or number where the other belongs
+        raise ValueError(f"malformed config value: {exc}") from None
 
 
 def load_config(path: str) -> Config:

@@ -48,9 +48,6 @@ class GradedView:
         (key,) = self.expand(self.one)
         return key
 
-    def coefficient_of_one(self, e) -> Fraction:
-        return self.expand(e).get(self.unit_key(), _ZERO)
-
     def normalize_degree(self, g: int) -> int:
         return g if self.modulus is None else g % self.modulus
 

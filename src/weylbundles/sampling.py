@@ -23,14 +23,6 @@ def random_unipoly(rng: Random, max_deg: int = 4, terms: int = 3,
     return UniPoly(data)
 
 
-def random_nonzero_unipoly(rng: Random, max_deg: int = 4, terms: int = 3,
-                           span: int = 4) -> UniPoly:
-    while True:
-        f = random_unipoly(rng, max_deg, terms, span)
-        if f:
-            return f
-
-
 def random_gwa_elem(alg: GwaAlgebra, rng: Random, max_block: int = 2,
                     max_deg: int = 3, terms: int = 3) -> GwaElem:
     data = {}

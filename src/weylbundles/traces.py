@@ -8,7 +8,6 @@ coefficient recursion in r.  Pairing it with the idempotent traces of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -104,32 +103,24 @@ class CyclicTrace:
         return f"CyclicTrace(q={self.q}, r={self.r}, zeta={self.zeta})"
 
 
-@dataclass
-class TraceReport:
-    """Outcome of the trace-property verification sweep."""
+def record_check(checks: list[dict], name: str, params: dict, expected, got) -> dict:
+    """Append one check record (the JSON-line shape the CLI emits) and return it.
 
-    passed: bool
-    checks: list[dict] = field(default_factory=list)
-
-    def failures(self) -> list[dict]:
-        return [c for c in self.checks if not c["pass"]]
-
-
-def record_check(checks: list[dict], name: str, params: dict, expected, got) -> bool:
-    """Append one check record (the JSON-line shape the CLI emits); returns its verdict."""
-    ok = expected == got
-    checks.append(
-        {"check": name, "params": params, "expected": str(expected), "got": str(got), "pass": ok}
-    )
-    return ok
+    The record's "pass" is the one carrier of its verdict.
+    """
+    record = {"check": name, "params": params, "expected": str(expected), "got": str(got),
+              "pass": expected == got}
+    checks.append(record)
+    return record
 
 
 def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
-                 pairs: int = 50, rng: Optional[Random] = None) -> TraceReport:
+                 pairs: int = 50, rng: Optional[Random] = None) -> list[dict]:
     """Check the trace property on the closed-form commutators and random pairs.
 
     Evaluates the trace on the commutator spanning set for all n, k, l up to
-    the bound, then on a * b - b * a for random degree-bounded pairs.
+    the bound, then on a * b - b * a for random degree-bounded pairs; returns
+    one check record per evaluation.
     """
     from .sampling import random_gwa_elem
 
@@ -137,21 +128,18 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
         raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
     rng = rng or Random(20260809)
     checks: list[dict] = []
-    ok = True
     for n in range(bound + 1):
         for k in range(bound + 1):
             for l in range(bound + 1):
                 got = trace(commutator_closed_form(alg, n, k, l))
-                ok &= record_check(
-                    checks, "commutator-span-vanishes",
-                    {"n": n, "k": k, "l": l}, Fraction(0), got,
-                )
+                record_check(checks, "commutator-span-vanishes",
+                             {"n": n, "k": k, "l": l}, Fraction(0), got)
     for i in range(pairs):
         a = random_gwa_elem(alg, rng)
         b = random_gwa_elem(alg, rng)
         got = trace(a * b) - trace(b * a)
-        ok &= record_check(checks, "cyclicity", {"sample": i}, Fraction(0), got)
-    return TraceReport(ok, checks)
+        record_check(checks, "cyclicity", {"sample": i}, Fraction(0), got)
+    return checks
 
 
 def chern_pairing(amb: AmbientAlgebra, zeta, n: int,

@@ -7,13 +7,43 @@ as stated in the criterion itself.
 """
 import pytest
 
-from weylbundles.acceptance import CRITERIA
+from weylbundles import acceptance
+from weylbundles.acceptance import CRITERIA, summarize
 
 
 @pytest.mark.parametrize("key,title,func", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_criterion(key, title, func):
-    checks = func()
-    failures = [c for c in checks if not c["pass"]]
-    status = "FAIL" if failures else "PASS"
-    print(f"{status} {key}: {title} ({len(checks)} checks, {len(failures)} failed)")
-    assert not failures, failures[:5]
+    summary = summarize(key, title, func())
+    status = "PASS" if summary["pass"] else "FAIL"
+    print(f"{status} {key}: {title} ({summary['checks']} checks, {summary['failed']} failed)")
+    assert summary["pass"], summary
+
+
+def _record(ok: bool) -> dict:
+    return {"check": "fake", "params": {}, "expected": "1", "got": "1" if ok else "0",
+            "pass": ok}
+
+
+def test_summary_without_checks_fails():
+    assert summarize("empty", "no checks", []) == {
+        "criterion": "empty", "title": "no checks", "checks": 0, "failed": 0,
+        "pass": False, "failures": [],
+    }
+    assert summarize("one", "t", [_record(True)])["pass"] is True
+    failing = summarize("two", "t", [_record(True), _record(False)])
+    assert failing["pass"] is False and failing["failed"] == 1
+    assert failing["failures"] == [_record(False)]
+
+
+def test_run_all_is_lazy(monkeypatch):
+    def boom():
+        raise RuntimeError("ran before the first summary was taken")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("a", "cheap", lambda: [_record(True)]),
+        ("b", "raises", boom),
+    ))
+    summaries = acceptance.run_all()
+    assert next(summaries)["criterion"] == "a"
+    with pytest.raises(RuntimeError):
+        next(summaries)

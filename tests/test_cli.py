@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weylbundles import acceptance, cli
 from weylbundles.cli import main
 from weylbundles.config import config_from_dict, load_config, poly_from_roots, preset
 from weylbundles.poly import UniPoly, frac
@@ -216,3 +217,85 @@ def test_grading_check_zero_modulus_is_usage_error(capsys, option):
 @pytest.mark.parametrize("bound,pairs", [("-1", "0"), ("1", "-1")])
 def test_trace_check_negative_sizes_is_usage_error(capsys, bound, pairs):
     assert ">= 0" in usage_error(capsys, "trace-check", "--bound", bound, "--pairs", pairs)
+
+
+def write_config(tmp_path, data) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+SPHERE_CONFIG = {"p": {"roots": [["0", 1], ["1", 1]]}, "q_plus": "2", "q_minus": "2"}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([SPHERE_CONFIG], "JSON object"),
+    ({**SPHERE_CONFIG, "p": {"coeffs": [0, 1.5]}}, "not an exact rational"),
+    ({"p": SPHERE_CONFIG["p"], "q_minus": "2"}, "missing q_plus"),
+    ({"p": SPHERE_CONFIG["p"], "q_plus": "2"}, "missing q_minus"),
+])
+def test_malformed_config_is_usage_error(capsys, tmp_path, data, message):
+    path = write_config(tmp_path, data)
+    assert message in usage_error(capsys, "--config", path, "normalize", "z")
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_rep_check_small_dim_is_usage_error(capsys, dim):
+    assert "--dim must be >= 3" in usage_error(
+        capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", dim)
+
+
+def test_rep_check_unwritable_csv_dir_is_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    usage_error(capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", "4",
+                "--dump-csv", str(blocker))
+
+
+def test_rep_check_dump_csv(capsys, tmp_path):
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "rep-check", "--zeta", "1",
+                               "--dim", "4", "--dump-csv", str(tmp_path / "m"))
+    assert code == 0
+    assert [r.get("check", r.get("command")) for r in records] == [
+        "one-dim-rep", "one-dim-rep", "rep-check", "truncated-rep"]
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["x.csv", "y.csv", "z.csv"]
+
+
+def test_rep_check_nonzero_r_is_usage_error(capsys, tmp_path):
+    path = write_config(tmp_path, {**SPHERE_CONFIG, "r": "1/2"})
+    assert "r = 0" in usage_error(capsys, "--config", path, "rep-check", "--zeta", "1")
+
+
+def test_internal_error_is_distinct(capsys, monkeypatch):
+    def broken(cfg, args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_normalize", broken)
+    code, records, err = run_cli(capsys, "normalize", "z")
+    assert code == 3 and records == []
+    assert "Traceback" in err
+    assert json.loads(err.splitlines()[-1]) == {"error": "RuntimeError: boom", "kind": "internal"}
+
+
+def test_wrong_pairing_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "chern_pairing", lambda amb, zeta, n, max_level: frac(0))
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "chern", "--n", "1")
+    assert code == 1
+    assert records == [{"check": "chern", "params": {"n": 1, "zeta": "1"},
+                        "expected": "-1", "got": "0", "pass": False}]
+
+
+def test_verify_all_streams_and_fails(capsys, monkeypatch):
+    passing = {"check": "fake", "params": {}, "expected": "1", "got": "1", "pass": True}
+    failing = {**passing, "got": "0", "pass": False}
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("a-passes", "one passing check", lambda: [passing]),
+        ("b-empty", "no checks", lambda: []),
+        ("c-fails", "one failing check", lambda: [passing, failing]),
+    ))
+    code, records, _ = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert [(r["criterion"], r["checks"], r["pass"]) for r in records[:-1]] == [
+        ("a-passes", 1, True), ("b-empty", 0, False), ("c-fails", 2, False)]
+    assert records[2]["failures"] == [failing]
+    assert records[-1] == {"command": "verify-all", "pass": False}
