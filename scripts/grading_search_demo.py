@@ -13,15 +13,13 @@ Usage: python3 scripts/grading_search_demo.py [--bound D]
 import argparse
 import time
 
-from weylbundles.config import preset
+from weylbundles.config import PRESETS, preset
 from weylbundles.grading import (
     ambient_graded_view,
     induced_quotient_view,
     veronese_view,
     witness_search,
 )
-
-PRESETS = ("sphere", "lens(2,1,2)", "kleinian-demo")
 
 
 def report(label, view, g, bound):

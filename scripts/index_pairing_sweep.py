@@ -9,11 +9,9 @@ Usage: python3 scripts/index_pairing_sweep.py [--max-level N]
 import argparse
 import time
 
-from weylbundles.config import preset
+from weylbundles.config import PRESETS, preset
 from weylbundles.connection import idempotent_trace
 from weylbundles.traces import chern_pairing
-
-PRESETS = ("sphere", "lens(2,1,2)", "kleinian-demo")
 
 
 def main() -> int:

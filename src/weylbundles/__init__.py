@@ -44,7 +44,6 @@ from .poly import (
     AffineAuto,
     PairPoly,
     UniPoly,
-    apply_auto,
     auto_shift_product,
     factor_zero_root,
     frac,
@@ -59,7 +58,7 @@ __all__ = [
     "AffineAuto", "AlgebraMismatch", "AmbientAlgebra", "AmbientElem",
     "Config", "CyclicTrace", "GradedView", "GwaAlgebra", "GwaElem",
     "IdemMatrix", "PairPoly", "Tensor2", "UniPoly", "Witness",
-    "ambient_graded_view", "apply_auto", "auto_shift_product",
+    "ambient_graded_view", "auto_shift_product",
     "check_connection", "chern_pairing", "commutator",
     "commutator_closed_form", "compose_witnesses", "connection_power",
     "connection_power_alt", "embed_degree_zero", "factor_zero_root", "frac",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 
 from .ambient import AmbientAlgebra, embed_degree_zero, project_degree_zero
-from .config import Config, preset
+from .config import PRESETS, Config, preset
 from .connection import (
     check_connection,
     connection_power,
@@ -33,6 +33,7 @@ from .grading import (
     veronese_view,
     witness_search,
 )
+from .numrep import one_dim_rep, one_dim_residuals, relation_residuals, truncated_rep
 from .poly import UniPoly, auto_shift_product
 from .sampling import (
     random_gwa_elem,
@@ -41,7 +42,6 @@ from .sampling import (
 )
 from .traces import CyclicTrace, chern_pairing, record_check, verify_trace
 
-PRESETS = ("sphere", "lens(2,1,2)", "kleinian-demo")
 LEVEL_RANGE = range(-4, 5)
 
 
@@ -379,8 +379,6 @@ def criterion_degenerate_case() -> list[dict]:
 # -- 10 ---------------------------------------------------------------
 def criterion_representations() -> list[dict]:
     """Matrix and scalar representation residuals at their tolerances."""
-    from .numrep import one_dim_rep, one_dim_residuals, relation_residuals, truncated_rep
-
     checks: list[dict] = []
     p = preset("sphere").p
     alg = GwaAlgebra(p, Fraction(1, 4), Fraction(0))

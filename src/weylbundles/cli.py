@@ -16,8 +16,8 @@ import sys
 import traceback
 from fractions import Fraction
 
-from . import acceptance
-from .config import Config, load_config, preset
+from . import acceptance, numrep
+from .config import PRESETS, Config, load_config, preset
 from .connection import (
     DEFAULT_LEVEL_CAP,
     check_connection,
@@ -176,8 +176,6 @@ def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> None:
 
 
 def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
-    from . import numrep  # numpy loads only for this command
-
     # every input, the CSV directory included, is checked before the first record
     zeta = frac(args.zeta)
     if args.dim < 3:
@@ -206,7 +204,7 @@ def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
               "expected": "< 1e-10", "got": f"{worst:.3e}", "pass": worst < 1e-10})
 
 
-def _cmd_verify_all(cfg: Config, args, out: _Reporter) -> None:
+def _cmd_verify_all(cfg: None, args, out: _Reporter) -> None:
     for summary in acceptance.run_all():
         out.emit(summary)
     out.emit({"command": "verify-all", "pass": not out.failed})
@@ -219,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--config", help="JSON configuration file")
-    source.add_argument("--preset", default="sphere",
-                        help="named preset: sphere, lens(k,l,q), kleinian-demo")
+    source.add_argument("--preset",
+                        help="named preset: sphere (default), lens(k,l,q), kleinian-demo")
     parser.add_argument("--text", action="store_true", help="human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
     level = argparse.ArgumentParser(add_help=False)
@@ -275,13 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> Config | None:
+    """The configuration of the command; ``verify-all`` sweeps its own presets."""
+    if args.command == "verify-all":
+        if args.config is not None or args.preset is not None:
+            raise ValueError(f"verify-all sweeps the presets {', '.join(PRESETS)} "
+                             "and takes no --preset or --config")
+        return None
+    if args.config:
+        return load_config(args.config)
+    return preset("sphere" if args.preset is None else args.preset)
+
+
 def main(argv=None) -> int:
     """Run one command; the only place an exit code is chosen."""
     args = build_parser().parse_args(argv)
     out = _Reporter(args.text)
     try:
-        cfg = load_config(args.config) if args.config else preset(args.preset)
-        args.func(cfg, args, out)
+        args.func(_config(args), args, out)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return USAGE

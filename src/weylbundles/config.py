@@ -16,7 +16,8 @@ from .ambient import AmbientAlgebra
 from .gwa import GwaAlgebra
 from .poly import UniPoly, frac
 
-PRESET_NAMES = ("sphere", "lens(k,l,q)", "kleinian-demo")
+# the presets the acceptance sweep and the demo scripts run on
+PRESETS = ("sphere", "lens(2,1,2)", "kleinian-demo")
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,6 @@ class Config:
 
     def nonzero_zetas(self) -> tuple[Fraction, ...]:
         return tuple(z for z in self.zetas if z != 0)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "p": {"coeffs": [str(self.p.coeff(d)) for d in range(
-                (self.p.degree() or 0) + 1)]},
-            "q_plus": str(self.q_plus),
-            "q_minus": str(self.q_minus),
-            "r": str(self.r),
-            "zetas": [str(z) for z in self.zetas],
-        }
 
 
 def poly_from_roots(roots: list) -> UniPoly:

@@ -10,7 +10,8 @@ Grammar (whitespace insensitive)::
 Rationals are single tokens like ``3`` or ``3/4`` (there is no division
 operator), exponents are non-negative integers, and generators are named
 tokens resolved at evaluation time.  The optional leading minus makes the
-canonical printed forms of elements parse back.
+canonical printed forms of elements parse back.  Parentheses nest at most
+``MAX_NESTING`` deep; the parser and evaluator recurse once per level.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from typing import Callable, Mapping
 
 GWA_GENERATORS = ("x", "y", "z")
 AMBIENT_GENERATORS = ("xp", "xm", "zp", "zm")
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -83,6 +85,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -143,8 +146,12 @@ class _Parser:
         if kind == "name":
             return Gen(value)
         if kind == "sym" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             inner = self.parse_expr()
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 

@@ -1,10 +1,10 @@
 """Floating-point matrix realizations of the defining relations.
 
 These are finite truncations of the infinite-dimensional representation
-attached to a root zeta of p (for 0 < q < 1, r = 0), plus the scalar
-one-dimensional representations at the fixed point of the line automorphism.
-The truncation breaks the relations on the last basis vectors, so residuals
-are reported over interior indices only.
+attached to a root zeta of p (for 0 < q < 1, r = 0), kept as bands, plus the
+scalar one-dimensional representations at the fixed point of the line
+automorphism.  The truncation breaks the relations on the last basis
+vectors, so residuals are reported over interior indices only.
 """
 from __future__ import annotations
 
@@ -12,11 +12,15 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import Mapping
 
 from .gwa import GwaAlgebra
 from .poly import frac
+
+
+def _p_float(coeffs: Mapping[int, Fraction], v: float) -> float:
+    """p(v) in floating point, term by term in the order of ``coeffs``."""
+    return sum(float(c) * v**d for d, c in coeffs.items())
 
 
 def one_dim_rep(alg: GwaAlgebra, lam: int = 1) -> dict[str, float]:
@@ -40,13 +44,9 @@ def one_dim_residuals(alg: GwaAlgebra, rep: dict[str, float]) -> dict[str, float
     """Absolute defect of each defining relation on a scalar representation."""
     q, r = float(alg.q), float(alg.r)
     x, y, z = rep["x"], rep["y"], rep["z"]
-
-    def p_at(v: float) -> float:
-        return sum(float(c) * v**d for d, c in alg.p.coeffs.items())
-
     return {
-        "xy": abs(x * y - p_at(q * z + r)),
-        "yx": abs(y * x - p_at(z)),
+        "xy": abs(x * y - _p_float(alg.p.coeffs, q * z + r)),
+        "yx": abs(y * x - _p_float(alg.p.coeffs, z)),
         "xz": abs(x * z - (q * z + r) * x),
         "yz": abs(y * z - (z - r) / q * y),
     }
@@ -54,23 +54,23 @@ def one_dim_residuals(alg: GwaAlgebra, rep: dict[str, float]) -> dict[str, float
 
 @dataclass(eq=False)
 class TruncatedRep:
-    """Truncated matrices for x, y, z on the orbit q^j zeta, j = 0..dim-1."""
+    """Bands of x, y, z on the orbit q^j zeta, j = 0..dim-1: ``z[j]`` is entry
+    (j, j) of z, ``x[j]`` entry (j-1, j) of x with ``x[0] = 0.0``, and y = x^T."""
 
     dim: int
     q: Fraction
     zeta: Fraction
     p_coeffs: dict[int, Fraction]
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    x: list[float]
+    z: list[float]
     positivity_checked_upto: int
 
     def p_at(self, v: float) -> float:
-        return sum(float(c) * v**d for d, c in self.p_coeffs.items())
+        return _p_float(self.p_coeffs, v)
 
 
 def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
-    """Matrices with z diagonal on the orbit and x lowering the index.
+    """Bands with z diagonal on the orbit and x lowering the index.
 
     Requires r = 0, 0 < q < 1 and p(q^j zeta) > 0 for j = 1..dim (checked
     exactly; the j = 0 value may vanish since zeta is typically a root).
@@ -89,23 +89,26 @@ def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
     for j in range(1, dim + 1):
         if values[j] <= 0:
             raise ValueError(f"p(q^{j} zeta) = {values[j]} <= 0 at index {j}")
-    x = np.zeros((dim, dim))
-    for j in range(1, dim):
-        x[j - 1, j] = math.sqrt(float(values[j]))
-    z = np.diag([float(w) for w in orbit[:dim]])
     return TruncatedRep(
         dim=dim, q=alg.q, zeta=zeta, p_coeffs=dict(alg.p.coeffs),
-        x=x, y=x.T.copy(), z=z, positivity_checked_upto=dim,
+        x=[0.0] + [math.sqrt(float(v)) for v in values[1:dim]],
+        z=[float(w) for w in orbit[:dim]], positivity_checked_upto=dim,
     )
 
 
 def dump_matrices_csv(rep: TruncatedRep, directory: str) -> list[str]:
-    """Write the x, y, z matrices as CSV files; returns the paths."""
+    """Write the dense x, y, z matrices as CSV files of "%.18e" floats; returns the paths."""
     os.makedirs(directory, exist_ok=True)
+    n = rep.dim
+    bands = {"x": {(j - 1, j): rep.x[j] for j in range(1, n)},
+             "y": {(j, j - 1): rep.x[j] for j in range(1, n)},
+             "z": {(j, j): rep.z[j] for j in range(n)}}
     paths = []
-    for name, mat in (("x", rep.x), ("y", rep.y), ("z", rep.z)):
+    for name, band in bands.items():
         path = os.path.join(directory, f"{name}.csv")
-        np.savetxt(path, mat, delimiter=",")
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                fh.write(",".join("%.18e" % band.get((i, k), 0.0) for k in range(n)) + "\n")
         paths.append(path)
     return paths
 
@@ -114,29 +117,26 @@ def relation_residuals(rep: TruncatedRep) -> dict:
     """Max column norms of the four relation defects over interior indices.
 
     Interior means basis vectors 1..dim-2; the boundary columns are excluded
-    because the truncation breaks the relations there by construction.
+    because the truncation breaks the relations there by construction.  Each
+    defect has one nonzero entry per column, so that entry's size is the column
+    norm; it is computed in the float order of dense ``x @ z - (q * z) @ x`` etc.
     """
     q = float(rep.q)
-    x, y, z = rep.x, rep.y, rep.z
-    diag = np.diag(z)
-    p_diag = np.diag([rep.p_at(v) for v in diag])
-    p_shift = np.diag([rep.p_at(q * v) for v in diag])
-    defects = {
-        "xy": x @ y - p_shift,
-        "yx": y @ x - p_diag,
-        "xz": x @ z - q * z @ x,
-        "yz": y @ z - (1 / q) * z @ y,
+    x, z = rep.x, rep.z
+    entries = {
+        "xy": lambda j: x[j + 1] * x[j + 1] - rep.p_at(q * z[j]),
+        "yx": lambda j: x[j] * x[j] - rep.p_at(z[j]),
+        "xz": lambda j: x[j] * z[j] - (q * z[j - 1]) * x[j],
+        "yz": lambda j: x[j + 1] * z[j] - ((1 / q) * z[j + 1]) * x[j + 1],
     }
     interior = range(1, rep.dim - 1)
     note = "positivity of p on the orbit beyond the truncation is not checked"
     if not interior:
-        residuals = {name: None for name in defects}
+        residuals = {name: None for name in entries}
         note = "truncation too small to have interior indices; " + note
     else:
-        residuals = {
-            name: max(float(np.linalg.norm(mat[:, j])) for j in interior)
-            for name, mat in defects.items()
-        }
+        residuals = {name: max(abs(entry(j)) for j in interior)
+                     for name, entry in entries.items()}
     return {
         "relations": residuals,
         "interior_indices": [1, rep.dim - 2],

@@ -174,9 +174,6 @@ class UniPoly(_SparsePoly):
     def degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
 
-    def coeff(self, d: int) -> Fraction:
-        return self.coeffs.get(d, Fraction(0))
-
     @property
     def constant_term(self) -> Fraction:
         return self.coeffs.get(0, Fraction(0))
@@ -271,12 +268,8 @@ class AffineAuto:
         return a, b
 
     def apply(self, j: int, f: UniPoly) -> UniPoly:
+        """f composed with the j-th power of the automorphism (j may be negative)."""
         return f.compose_linear(*self.power_image(j))
-
-
-def apply_auto(auto: AffineAuto, j: int, f: UniPoly) -> UniPoly:
-    """f composed with the j-th power of the automorphism (j may be negative)."""
-    return auto.apply(j, f)
 
 
 def auto_shift_product(p: UniPoly, auto: AffineAuto, n: int) -> UniPoly:

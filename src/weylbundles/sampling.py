@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 from .ambient import AmbientAlgebra, AmbientElem
+from .grading import ambient_graded_view
 from .gwa import GwaAlgebra, GwaElem
 from .poly import PairPoly, UniPoly
 
@@ -50,8 +51,6 @@ def random_amb_elem(amb: AmbientAlgebra, rng: Random, max_block: int = 1,
 def random_homogeneous_amb(amb: AmbientAlgebra, rng: Random, degree: int,
                            size_bound: int = 4, terms: int = 3) -> AmbientElem:
     """Random combination of basis monomials of one ambient degree."""
-    from .grading import ambient_graded_view
-
     basis = ambient_graded_view(amb).enumerate_basis(degree, size_bound)
     out = amb.zero()
     for _ in range(rng.randint(1, terms)):

@@ -17,6 +17,7 @@ from .ambient import AmbientAlgebra
 from .connection import DEFAULT_LEVEL_CAP, idempotent_trace
 from .gwa import AlgebraMismatch, GwaAlgebra, GwaElem, commutator_closed_form
 from .poly import UniPoly, frac
+from .sampling import random_gwa_elem
 
 
 def _check_q_admissible(q: Fraction):
@@ -122,8 +123,6 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
     the bound, then on a * b - b * a for random degree-bounded pairs; returns
     one check record per evaluation.
     """
-    from .sampling import random_gwa_elem
-
     if bound < 0 or pairs < 0:
         raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
     rng = rng or Random(20260809)

@@ -1,11 +1,9 @@
 import pytest
 
-from weylbundles.config import preset
-
-PRESET_NAMES = ("sphere", "lens(2,1,2)", "kleinian-demo")
+from weylbundles.config import PRESETS, preset
 
 
-@pytest.fixture(params=PRESET_NAMES)
+@pytest.fixture(params=PRESETS)
 def any_preset(request):
     return preset(request.param)
 

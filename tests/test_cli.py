@@ -4,7 +4,8 @@ import pytest
 
 from weylbundles import acceptance, cli
 from weylbundles.cli import main
-from weylbundles.config import config_from_dict, load_config, poly_from_roots, preset
+from weylbundles.config import PRESETS, config_from_dict, load_config, poly_from_roots, preset
+from weylbundles.expr import MAX_NESTING
 from weylbundles.poly import UniPoly, frac
 
 
@@ -176,11 +177,15 @@ def test_text_mode(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
-def test_verify_all_exits_zero(capsys):
-    code, records, _ = run_cli(capsys, "--preset", "sphere", "verify-all")
+def test_verify_all_exits_zero(capsys, monkeypatch):
+    # the real criteria run, through the same summarize, in test_acceptance
+    passing = {"check": "fake", "params": {}, "expected": "1", "got": "1", "pass": True}
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        (f"{i}-passes", "passing checks", lambda i=i: [passing] * i) for i in (1, 2, 3)))
+    code, records, _ = run_cli(capsys, "verify-all")
     assert code == 0
-    summaries = [r for r in records if "criterion" in r]
-    assert len(summaries) == 10 and all(r["pass"] for r in summaries)
+    assert [(r["criterion"], r["checks"], r["pass"]) for r in records[:-1]] == [
+        ("1-passes", 1, True), ("2-passes", 2, True), ("3-passes", 3, True)]
     assert records[-1] == {"command": "verify-all", "pass": True}
 
 
@@ -192,6 +197,12 @@ def test_unknown_preset_is_usage_error(capsys):
 def test_parse_error_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "normalize", "x^-1")
     assert code == 2 and "exponent" in err
+
+
+def test_nesting_up_to_the_limit_normalizes(capsys):
+    nested = "(" * MAX_NESTING + "y*x" + ")" * MAX_NESTING
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "normalize", nested)
+    assert code == 0 and records[0]["result"] == "(z - z^2)"
 
 
 def usage_error(capsys, *args) -> str:
@@ -217,6 +228,20 @@ def test_grading_check_zero_modulus_is_usage_error(capsys, option):
 @pytest.mark.parametrize("bound,pairs", [("-1", "0"), ("1", "-1")])
 def test_trace_check_negative_sizes_is_usage_error(capsys, bound, pairs):
     assert ">= 0" in usage_error(capsys, "trace-check", "--bound", bound, "--pairs", pairs)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+def test_deep_nesting_is_usage_error(capsys, depth):
+    nested = "(" * depth + "z" + ")" * depth
+    assert "nested deeper" in usage_error(capsys, "normalize", nested)
+
+
+@pytest.mark.parametrize("source", [("--preset", "kleinian-demo"), ("--preset", "nope"),
+                                    ("--config", "cfg.json")])
+def test_verify_all_rejects_preset_and_config(capsys, source):
+    message = usage_error(capsys, *source, "verify-all")
+    assert "takes no --preset or --config" in message
+    assert all(name in message for name in PRESETS)
 
 
 def write_config(tmp_path, data) -> str:

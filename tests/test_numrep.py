@@ -1,8 +1,11 @@
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import GwaAlgebra
 from weylbundles.numrep import (
     dump_matrices_csv,
@@ -14,6 +17,26 @@ from weylbundles.numrep import (
 from weylbundles.poly import UniPoly
 
 P_SPHERE = UniPoly({1: 1, 2: -1})
+
+
+@pytest.fixture
+def np():
+    """numpy is a test-only oracle: the package itself never imports it."""
+    return pytest.importorskip("numpy")
+
+
+def dense(np, rep):
+    """x, y, z as dense matrices, rebuilt from the bands."""
+    x = np.zeros((rep.dim, rep.dim))
+    for j in range(1, rep.dim):
+        x[j - 1, j] = rep.x[j]
+    return x, x.T.copy(), np.diag(rep.z)
+
+
+def test_package_does_not_import_numpy():
+    code = ("import sys, weylbundles, weylbundles.cli, weylbundles.acceptance, "
+            "weylbundles.numrep; sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_one_dim_rep_sphere():
@@ -57,24 +80,25 @@ def sphere_rep():
 def test_truncated_rep_matrices(sphere_rep):
     rep = sphere_rep
     q = 0.25
+    assert len(rep.z) == len(rep.x) == 16
     for j in range(16):
-        assert rep.z[j, j] == pytest.approx(q**j, abs=1e-15)
+        assert rep.z[j] == pytest.approx(q**j, abs=1e-15)
     # lowering action: x e_k = sqrt(p(q^k)) e_{k-1}, and e_0 is killed
-    assert np.all(rep.x[:, 0] == 0)
+    assert rep.x[0] == 0
     for j in range(1, 16):
-        assert rep.x[j - 1, j] == pytest.approx(np.sqrt(q**j * (1 - q**j)), abs=1e-15)
-    assert np.array_equal(rep.y, rep.x.T)
+        assert rep.x[j] == pytest.approx(math.sqrt(q**j * (1 - q**j)), abs=1e-15)
 
 
-def test_truncated_rep_spectrum(sphere_rep):
+def test_truncated_rep_spectrum(np, sphere_rep):
     expected = sorted(0.25**j for j in range(16))
-    got = sorted(np.linalg.eigvalsh(sphere_rep.z))
+    got = sorted(np.linalg.eigvalsh(dense(np, sphere_rep)[2]))
     assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_truncated_rep_lowering_raising_products(sphere_rep):
+def test_truncated_rep_lowering_raising_products(np, sphere_rep):
     rep = sphere_rep
-    yx = rep.y @ rep.x
+    x, y, _ = dense(np, rep)
+    yx = y @ x
     for j in range(15):
         assert yx[j, j] == pytest.approx(rep.p_at(0.25**j), abs=1e-10)
 
@@ -87,7 +111,7 @@ def test_relation_residuals_small(sphere_rep):
 
 
 def test_relation_residuals_flag_perturbation(sphere_rep):
-    sphere_rep.x[3, 4] += 1e-3
+    sphere_rep.x[4] += 1e-3
     report = relation_residuals(sphere_rep)
     assert report["relations"]["yx"] > 1e-6
 
@@ -99,11 +123,32 @@ def test_tiny_truncation_has_no_interior():
     assert "too small" in report["note"]
 
 
-def test_dump_matrices_csv(sphere_rep, tmp_path):
+def test_dump_matrices_csv(np, sphere_rep, tmp_path):
     paths = dump_matrices_csv(sphere_rep, str(tmp_path / "mats"))
     assert [p.rsplit("/", 1)[1] for p in paths] == ["x.csv", "y.csv", "z.csv"]
-    loaded = np.loadtxt(paths[2], delimiter=",")
-    assert np.allclose(loaded, sphere_rep.z)
+    x, y, z = (np.loadtxt(path, delimiter=",") for path in paths)
+    for got, want in zip((x, y, z), dense(np, sphere_rep)):
+        assert np.array_equal(got, want)   # "%.18e" round-trips every float
+    assert np.array_equal(y, x.T)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_relation_residuals_match_dense_products(np, name):
+    cfg = preset(name)
+    alg = GwaAlgebra(cfg.p, cfg.q if cfg.q < 1 else 1 / cfg.q, 0)
+    for zeta in cfg.nonzero_zetas():
+        for dim in range(3, 41):
+            rep = truncated_rep(alg, zeta, dim)
+            q = float(rep.q)
+            x, y, z = dense(np, rep)
+            diag = np.diag(z)
+            p_diag = np.diag([rep.p_at(v) for v in diag])
+            p_shift = np.diag([rep.p_at(q * v) for v in diag])
+            defects = {"xy": x @ y - p_shift, "yx": y @ x - p_diag,
+                       "xz": x @ z - q * z @ x, "yz": y @ z - (1 / q) * z @ y}
+            expected = {rel: max(float(np.linalg.norm(m[:, j])) for j in range(1, dim - 1))
+                        for rel, m in defects.items()}
+            assert relation_residuals(rep)["relations"] == expected, (zeta, dim)
 
 
 def test_truncated_rep_preconditions():

@@ -8,7 +8,6 @@ from weylbundles.poly import (
     AffineAuto,
     PairPoly,
     UniPoly,
-    apply_auto,
     auto_shift_product,
     factor_zero_root,
     frac,
@@ -50,30 +49,30 @@ def test_poly_str_is_ascending():
 def test_apply_auto_examples():
     sigma = AffineAuto(4, 0)
     f = UniPoly({1: 1, 2: -1})                      # z(1 - z)
-    assert apply_auto(sigma, -1, f) == UniPoly({1: Fraction(1, 4), 2: Fraction(-1, 16)})
-    assert apply_auto(sigma, 0, f) == f
-    assert apply_auto(AffineAuto(2, 3), 2, UniPoly.gen()) == UniPoly({1: 4, 0: 9})
+    assert sigma.apply(-1, f) == UniPoly({1: Fraction(1, 4), 2: Fraction(-1, 16)})
+    assert sigma.apply(0, f) == f
+    assert AffineAuto(2, 3).apply(2, UniPoly.gen()) == UniPoly({1: 4, 0: 9})
 
 
 def test_apply_auto_matches_iterated_substitution():
     sigma = AffineAuto(Fraction(2, 3), Fraction(1, 2))
     f = UniPoly({0: 2, 1: -1, 3: Fraction(1, 3)})
     once = f.compose_linear(sigma.q, sigma.r)
-    assert apply_auto(sigma, 1, f) == once
-    assert apply_auto(sigma, 2, f) == once.compose_linear(sigma.q, sigma.r)
-    assert apply_auto(sigma, -1, apply_auto(sigma, 1, f)) == f
+    assert sigma.apply(1, f) == once
+    assert sigma.apply(2, f) == once.compose_linear(sigma.q, sigma.r)
+    assert sigma.apply(-1, sigma.apply(1, f)) == f
 
 
 def test_apply_auto_shift_only():
     sigma = AffineAuto(1, Fraction(1, 2))
-    assert apply_auto(sigma, 3, UniPoly.gen()) == UniPoly({1: 1, 0: Fraction(3, 2)})
+    assert sigma.apply(3, UniPoly.gen()) == UniPoly({1: 1, 0: Fraction(3, 2)})
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys, st.integers(-4, 4), st.integers(-4, 4))
 def test_auto_powers_compose(f, i, j):
     sigma = AffineAuto(3, Fraction(-1, 2))
-    assert apply_auto(sigma, i, apply_auto(sigma, j, f)) == apply_auto(sigma, i + j, f)
+    assert sigma.apply(i, sigma.apply(j, f)) == sigma.apply(i + j, f)
 
 
 def test_auto_shift_product_examples():
@@ -81,7 +80,7 @@ def test_auto_shift_product_examples():
     p = UniPoly({1: 1, 2: -1})
     assert auto_shift_product(p, sigma, 0) == UniPoly.one()
     assert auto_shift_product(p, sigma, 1) == p
-    assert auto_shift_product(p, sigma, 2) == p * apply_auto(sigma, -1, p)
+    assert auto_shift_product(p, sigma, 2) == p * sigma.apply(-1, p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -89,7 +88,7 @@ def test_auto_shift_product_examples():
 def test_auto_shift_product_recursion(p, n):
     sigma = AffineAuto(Fraction(5, 2), 1)
     assert auto_shift_product(p, sigma, n + 1) == (
-        auto_shift_product(p, sigma, n) * apply_auto(sigma, -n, p)
+        auto_shift_product(p, sigma, n) * sigma.apply(-n, p)
     )
 
 
