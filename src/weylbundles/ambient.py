@@ -19,8 +19,10 @@ f(z+,z-) (key m = 0), and products run through the engine of
 ``shift(j, f) = f(q_plus^j z+, q_minus^j z-)`` and ``yx = pt(z+ z-)``.
 
 The degree-zero part is the generalized Weyl algebra B(p; q, 0) via
+x = x- z+^k, y = z-^k x+, z = z+ z-, in closed form one monomial scale per block:
 
-    x = x- z+^k,    y = z-^k x+,    z = z+ z-.
+    x^m f(z) -> q+^(-k m(m-1)/2) x-^m z+^(km) f(z+ z-),
+    y^M f(z) -> q-^(k M(M+1)/2)  x+^M z-^(kM) f(z+ z-).
 """
 from __future__ import annotations
 
@@ -146,33 +148,36 @@ class AmbientElem(GwaElem):
         return d is None or not split or next(iter(split)) == d
 
 
+def _degree_zero_scale(amb: AmbientAlgebra, m: int) -> Fraction:
+    """The scalar of block m in the closed form of the module docstring."""
+    t = amb.k * m * (m - 1) // 2        # k M(M+1)/2 for m = -M
+    return amb.q_plus**-t if m >= 0 else amb.q_minus**t
+
+
 def embed_degree_zero(amb: AmbientAlgebra, e: GwaElem) -> AmbientElem:
     """Image of an element of B(p; q, 0) in the degree-zero part.
 
-    Sends x to x- z+^k, y to z-^k x+ and z to z+ z-; requires the source
-    algebra to carry the same p, the product q = q_plus q_minus, and r = 0.
+    Sends x to x- z+^k, y to z-^k x+ and z to z+ z-, each block by its closed
+    form with no product; requires the source algebra to carry the same p,
+    the product q = q_plus q_minus, and r = 0.
     """
     if e.alg.r != 0:
         raise AlgebraMismatch("degree-zero identification needs r = 0")
     if e.alg.q != amb.q or e.alg.p != amb.p:
         raise AlgebraMismatch("source algebra does not match the graded one")
-    x_img = amb.elem({1: PairPoly.monomial(amb.k, 0)})
-    y_img = amb.from_pair(PairPoly.monomial(0, amb.k)) * amb.x_plus()
-    out = amb.zero()
-    for d, f in e.terms.items():
-        block = x_img**d if d >= 0 else y_img ** (-d)
-        out = out + block * amb.from_z_poly(f)
-    return out
+    terms = {}
+    for m, f in e.terms.items():
+        s, a, b = _degree_zero_scale(amb, m), amb.k * max(m, 0), amb.k * max(-m, 0)
+        terms[m] = PairPoly({(a + d, b + d): c * s for d, c in f.coeffs.items()})
+    return amb.elem(terms)
 
 
 def project_degree_zero(amb: AmbientAlgebra, e: AmbientElem) -> GwaElem:
     """Inverse of :func:`embed_degree_zero` on homogeneous degree-zero input.
 
-    Each degree-zero basis monomial is a scalar multiple of the image of a
-    unique basis monomial of B; the scalar is read off by embedding that
-    monomial rather than from a closed formula.
+    By the closed form, xm^m zp^(b+km) zm^b is a multiple of the image of x^m z^b
+    and xp^M zp^a zm^(a+kM) one of y^M z^a; a monomial of other degree is rejected.
     """
-    gwa = amb.gwa()
     terms: dict[int, dict[int, Fraction]] = {}
     for (m, a, b), c in e.monomials().items():
         if amb.degree_of_key(m, a, b) != 0:
@@ -180,12 +185,8 @@ def project_degree_zero(amb: AmbientAlgebra, e: AmbientElem) -> GwaElem:
                 f"monomial (m={m}, zp^{a}, zm^{b}) has degree "
                 f"{amb.degree_of_key(m, a, b)}, not 0"
             )
-        zpow = b if m >= 0 else a
-        image = embed_degree_zero(amb, gwa.monomial(m, UniPoly({zpow: 1})))
-        (scale,) = image.monomials().values()
-        terms.setdefault(m, {})
-        terms[m][zpow] = terms[m].get(zpow, Fraction(0)) + c / scale
-    return gwa.elem({m: UniPoly(cs) for m, cs in terms.items()})
+        terms.setdefault(m, {})[min(a, b)] = c / _degree_zero_scale(amb, m)
+    return amb.gwa().elem({m: UniPoly(cs) for m, cs in terms.items()})
 
 
 def veronese_component(amb: AmbientAlgebra, n: int, e: AmbientElem) -> AmbientElem:

@@ -280,7 +280,7 @@ def _config(args) -> Config | None:
             raise ValueError(f"verify-all sweeps the presets {', '.join(PRESETS)} "
                              "and takes no --preset or --config")
         return None
-    if args.config:
+    if args.config is not None:
         return load_config(args.config)
     return preset("sphere" if args.preset is None else args.preset)
 

@@ -8,10 +8,10 @@ Grammar (whitespace insensitive)::
     atom   := rational | generator | '(' expr ')'
 
 Rationals are single tokens like ``3`` or ``3/4`` (there is no division
-operator), exponents are non-negative integers, and generators are named
-tokens resolved at evaluation time.  The optional leading minus makes the
-canonical printed forms of elements parse back.  Parentheses nest at most
-``MAX_NESTING`` deep; the parser and evaluator recurse once per level.
+operator), exponents are integers from 0 to ``MAX_EXPONENT``, and generators
+are named tokens resolved at evaluation time.  The optional leading minus
+makes the canonical printed forms of elements parse back.  Parentheses nest
+at most ``MAX_NESTING`` deep; the parser and evaluator recurse once per level.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from typing import Callable, Mapping
 GWA_GENERATORS = ("x", "y", "z")
 AMBIENT_GENERATORS = ("xp", "xm", "zp", "zm")
 MAX_NESTING = 100
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -136,6 +137,8 @@ class _Parser:
             kind, value, pos = self.next()
             if kind != "num" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer", pos)
+            if int(value) > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
             return Pow(base, int(value))
         return base
 

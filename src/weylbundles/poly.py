@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
-
-Scalar = Fraction
 
 
 def frac(x) -> Fraction:
@@ -198,27 +197,22 @@ class UniPoly(_SparsePoly):
         return sum((c * x**d for d, c in self.coeffs.items()), Fraction(0))
 
     def compose_linear(self, a, b) -> "UniPoly":
-        """Substitute ``z -> a*z + b`` (Horner over the dense degree range)."""
-        deg = self.degree()
-        if deg is None:
-            return UniPoly.zero()
-        lin = UniPoly({1: frac(a), 0: frac(b)})
-        result = UniPoly.zero()
-        for d in range(deg, -1, -1):
-            result = result * lin
-            c = self.coeffs.get(d)
-            if c:
-                result = result + UniPoly.constant(c)
-        return result
+        """Substitute ``z -> a*z + b``: by the binomial theorem ``c*z^d`` becomes
+        ``c * sum_i C(d, i) a^i b^(d-i) z^i``, the one term ``c*a^d*z^d`` if b = 0."""
+        a, b = frac(a), frac(b)
+        if not b:
+            return UniPoly._make({d: v for d, c in self.coeffs.items() if (v := c * a**d)})
+        data: dict[int, Fraction] = {}
+        for d, c in self.coeffs.items():
+            for i in range(d + 1):
+                data[i] = data.get(i, Fraction(0)) + c * comb(d, i) * a**i * b ** (d - i)
+        return UniPoly._make({i: v for i, v in data.items() if v})
 
     def shift_down(self, k: int) -> "UniPoly":
         """Exact division by ``z^k``; requires every exponent >= k."""
         if any(d < k for d in self.coeffs):
             raise ValueError(f"not divisible by z^{k}")
         return UniPoly({d - k: c for d, c in self.coeffs.items()})
-
-    def shift_up(self, k: int) -> "UniPoly":
-        return UniPoly({d + k: c for d, c in self.coeffs.items()})
 
     # -- output ---------------------------------------------------------
     def __str__(self) -> str:

@@ -9,8 +9,9 @@ from weylbundles.ambient import (
     project_degree_zero,
     veronese_component,
 )
+from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
-from weylbundles.poly import UniPoly
+from weylbundles.poly import PairPoly, UniPoly
 from weylbundles.sampling import random_amb_elem, random_gwa_elem, random_homogeneous_amb
 
 
@@ -128,6 +129,35 @@ def test_roundtrips(any_preset):
         assert project_degree_zero(amb, embed_degree_zero(amb, a)) == a
         h = random_homogeneous_amb(amb, rng, 0)
         assert embed_degree_zero(amb, project_degree_zero(amb, h)) == h
+
+
+def product_embed(amb, e):
+    """The degree-zero identification built from ambient products: the reference."""
+    x_img = amb.elem({1: PairPoly.monomial(amb.k, 0)})
+    y_img = amb.from_pair(PairPoly.monomial(0, amb.k)) * amb.x_plus()
+    out = amb.zero()
+    for m, f in e.terms.items():
+        block = x_img**m if m >= 0 else y_img ** (-m)
+        out = out + block * amb.from_z_poly(f)
+    return out
+
+
+# only q+ != q- can expose q+ and q- swapped: sphere and lens have q+ = q-
+ASYMMETRIC = AmbientAlgebra(UniPoly({2: 1, 3: -1}), 2, Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("amb", [*(preset(name).ambient_algebra() for name in PRESETS),
+                                 ASYMMETRIC], ids=[*PRESETS, "asymmetric"])
+def test_closed_form_matches_product_reference(amb):
+    gwa = amb.gwa()
+    rng = Random(8)
+    elems = [gwa.monomial(m, f) for m in range(-6, 7)
+             for f in (UniPoly.one(), UniPoly({0: 2, 3: Fraction(-1, 5)}))]
+    elems += [random_gwa_elem(gwa, rng) for _ in range(10)]
+    for e in elems:
+        image = product_embed(amb, e)
+        assert embed_degree_zero(amb, e) == image
+        assert project_degree_zero(amb, image) == e
 
 
 def test_veronese_component(kleinian):

@@ -5,7 +5,7 @@ import pytest
 from weylbundles import acceptance, cli
 from weylbundles.cli import main
 from weylbundles.config import PRESETS, config_from_dict, load_config, poly_from_roots, preset
-from weylbundles.expr import MAX_NESTING
+from weylbundles.expr import MAX_EXPONENT, MAX_NESTING
 from weylbundles.poly import UniPoly, frac
 
 
@@ -234,6 +234,20 @@ def test_trace_check_negative_sizes_is_usage_error(capsys, bound, pairs):
 def test_deep_nesting_is_usage_error(capsys, depth):
     nested = "(" * depth + "z" + ")" * depth
     assert "nested deeper" in usage_error(capsys, "normalize", nested)
+
+
+@pytest.mark.parametrize("text", [f"z^{MAX_EXPONENT + 1}", "(1+z)^500"])
+def test_large_exponent_is_usage_error(capsys, text):
+    assert f"exponent larger than {MAX_EXPONENT}" in usage_error(capsys, "normalize", text)
+
+
+def test_exponent_up_to_the_limit_normalizes(capsys):
+    code, records, _ = run_cli(capsys, "normalize", f"z^{MAX_EXPONENT}")
+    assert code == 0 and records[0]["result"] == f"(z^{MAX_EXPONENT})"
+
+
+def test_empty_config_path_is_usage_error(capsys):
+    usage_error(capsys, "--config", "", "normalize", "x*y")
 
 
 @pytest.mark.parametrize("source", [("--preset", "kleinian-demo"), ("--preset", "nope"),

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylbundles.poly import (
@@ -115,7 +115,7 @@ def test_decomposition_identities(p):
         return
     k, reduced = factor_zero_root(p)
     assert reduced.constant_term != 0
-    assert reduced.shift_up(k) == p
+    assert reduced * UniPoly({k: 1}) == p
     tail = tail_decompose(reduced)
     assert UniPoly.constant(reduced.constant_term) - UniPoly.gen() * tail == reduced
 
@@ -133,6 +133,66 @@ def test_compose_linear_evaluates():
     g = f.compose_linear(Fraction(1, 2), -1)
     for v in (0, 1, Fraction(7, 3)):
         assert g(v) == f(Fraction(1, 2) * v - 1)
+
+
+def horner_compose(f: UniPoly, a, b) -> UniPoly:
+    """``f(a*z + b)`` by Horner's rule over the dense degree range: the reference."""
+    deg = f.degree()
+    if deg is None:
+        return UniPoly.zero()
+    lin = UniPoly({1: a, 0: b})
+    result = UniPoly.zero()
+    for d in range(deg, -1, -1):
+        result = result * lin + UniPoly.constant(f.coeffs.get(d, 0))
+    return result
+
+
+deep_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=30), fractions, max_size=8
+).map(UniPoly)
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(deep_polys, st.one_of(st.just(Fraction(1)), scalars),
+       st.one_of(st.just(Fraction(0)), scalars))
+@example(UniPoly.zero(), Fraction(2), Fraction(1))
+@example(UniPoly.zero(), Fraction(-1, 2), Fraction(0))
+@example(UniPoly({0: 1, 7: -2, 30: Fraction(1, 3)}), Fraction(-2, 3), Fraction(-5, 2))
+@example(UniPoly({3: 1, 30: 1}), Fraction(1), Fraction(0))
+@example(UniPoly({0: 4, 2: -1}), Fraction(0), Fraction(3, 2))
+def test_compose_linear_matches_horner(f, a, b):
+    assert f.compose_linear(a, b) == horner_compose(f, a, b)
+
+
+# -- sympy as an independent oracle -------------------------------------
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, f: UniPoly):
+    terms = {(d,): sympy.Rational(c.numerator, c.denominator) for d, c in f.coeffs.items()}
+    return sympy.Poly.from_dict(terms, sympy.Symbol("z"), domain="QQ")
+
+
+def from_sympy(g) -> UniPoly:
+    return UniPoly({d: Fraction(int(c.p), int(c.q)) for (d,), c in g.as_dict().items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=deep_polys, a=scalars, b=scalars)
+def test_compose_linear_matches_sympy(sympy, f, a, b):
+    line = to_sympy(sympy, UniPoly({1: a, 0: b}))
+    assert f.compose_linear(a, b) == from_sympy(to_sympy(sympy, f).compose(line))
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=deep_polys, den=polys.filter(bool))
+def test_poly_divmod_matches_sympy(sympy, num, den):
+    quo, rem = sympy.div(to_sympy(sympy, num), to_sympy(sympy, den))
+    assert poly_divmod(num, den) == (from_sympy(quo), from_sympy(rem))
 
 
 # -- the two-variable base ring ----------------------------------------
