@@ -14,10 +14,16 @@ from fractions import Fraction
 
 from .ambient import AmbientAlgebra
 from .gwa import GwaAlgebra
-from .poly import UniPoly, frac
+from .poly import MAX_EXPONENT, UniPoly, frac
 
-# the presets the acceptance sweep and the demo scripts run on
+# the presets the acceptance sweep and the tests run on
 PRESETS = ("sphere", "lens(2,1,2)", "kleinian-demo")
+
+
+def _check_degree(degree: int) -> None:
+    """Reject p above the one degree limit, before the cost of building it."""
+    if degree > MAX_EXPONENT:
+        raise ValueError(f"p has degree {degree}, larger than {MAX_EXPONENT}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,7 @@ class Config:
         object.__setattr__(self, "zetas", tuple(frac(v) for v in self.zetas))
         if not self.p:
             raise ValueError("configuration needs p != 0")
+        _check_degree(self.p.degree())
         for zeta in self.zetas:
             if self.p(zeta) != 0:
                 raise ValueError(f"zeta = {zeta} is not a root of p")
@@ -61,14 +68,14 @@ def poly_from_roots(roots: list) -> UniPoly:
 
     Nonzero roots contribute normalized factors (1 - z/root)^mult and the
     root 0 contributes z^mult, so [[0, k], [rho, 1], ...] yields
-    z^k * prod (1 - z/rho).
+    z^k * prod (1 - z/rho).  The multiplicities sum to the degree of p.
     """
+    factors = [(frac(root), int(mult)) for root, mult in roots]
+    if any(mult < 0 for _, mult in factors):
+        raise ValueError("multiplicities must be >= 0")
+    _check_degree(sum(mult for _, mult in factors))
     p = UniPoly.one()
-    for root, mult in roots:
-        root = frac(root)
-        mult = int(mult)
-        if mult < 0:
-            raise ValueError("multiplicities must be >= 0")
+    for root, mult in factors:
         if root == 0:
             factor = UniPoly.gen()
         else:
@@ -139,6 +146,7 @@ def preset(name: str) -> Config:
         base = frac(q_str)
         if k < 1 or l < 1:
             raise ValueError("lens preset needs k >= 1 and l >= 1")
+        _check_degree(k + l)
         if base**(2 * l) in (0, 1, -1):
             raise ValueError("lens preset needs q with q^(2l) not 0 or a root of unity")
         roots = [["0", k]] + [[str(base ** (2 * i)), 1] for i in range(l)]

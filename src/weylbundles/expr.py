@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from .poly import MAX_EXPONENT
+
 GWA_GENERATORS = ("x", "y", "z")
 AMBIENT_GENERATORS = ("xp", "xm", "zp", "zm")
 MAX_NESTING = 100
-MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):

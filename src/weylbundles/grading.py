@@ -7,6 +7,15 @@ the linear system "sum of chosen products = 1" over the rationals by exact
 row reduction.  Absence within the bound is a semi-decision and is always
 reported as such.
 
+The ambient algebra carries a finer Z^2 grading: the bidegree of
+x(-/+)^|m| z+^a z-^b is (m, a - b).  Every defining relation is
+bihomogeneous, so a product of basis monomials is bihomogeneous of the
+summed bidegree, and the unit has bidegree (0, 0).  Taking the (0, 0)
+component of any combination equal to 1 leaves a combination of only the
+pairs whose bidegrees cancel, still equal to 1; the search forms just
+those products, and its found/absent verdict is the unpruned one.  Every
+view below is built from the ambient one and keeps its bidegree.
+
 Views of a graded algebra can be re-graded along the quotient map to Z/kZ
 or restricted to the subgroup kZ (the Veronese re-grading); witnesses for
 the outer gradings of such a chain compose back into a witness for the
@@ -33,7 +42,10 @@ class GradedView:
     deterministically.  ``expand`` writes an element as a monomial-keyed
     coefficient dict and ``degree_of`` reads the degree of a homogeneous
     element.  ``degree_bound(size)`` bounds |degree| over monomials within
-    the size bound (used to enumerate quotient classes).
+    the size bound (used to enumerate quotient classes).  ``bidegree(e)``
+    is the ambient Z^2 bidegree (m, a - b) of a basis monomial; products
+    of basis monomials are bihomogeneous of the summed bidegree, which is
+    what lets ``witness_search`` skip pairs that cannot reach the unit.
     """
 
     modulus: Optional[int]
@@ -43,6 +55,7 @@ class GradedView:
     expand: Callable[[object], dict]
     degree_of: Callable[[object], int]
     degree_bound: Callable[[int], int]
+    bidegree: Callable[[object], tuple[int, int]]
 
     def unit_key(self):
         (key,) = self.expand(self.one)
@@ -77,6 +90,11 @@ class Witness:
         return [[str(a), str(b), str(c)] for a, b, c in self.pairs]
 
 
+def _ambient_bidegree(e) -> tuple[int, int]:
+    ((m, a, b),) = e.monomials()
+    return m, a - b
+
+
 def ambient_graded_view(amb: AmbientAlgebra) -> GradedView:
     """The integer grading of the two-variable ambient algebra."""
 
@@ -97,6 +115,7 @@ def ambient_graded_view(amb: AmbientAlgebra) -> GradedView:
         expand=lambda e: e.monomials(),
         degree_of=lambda e: e.degree(),
         degree_bound=lambda size: size * amb.k,
+        bidegree=_ambient_bidegree,
     )
 
 
@@ -123,6 +142,7 @@ def induced_quotient_view(view: GradedView, k: int) -> GradedView:
         expand=view.expand,
         degree_of=lambda e: view.degree_of(e) % k,
         degree_bound=view.degree_bound,
+        bidegree=view.bidegree,
     )
 
 
@@ -147,6 +167,7 @@ def veronese_view(view: GradedView, k: int) -> GradedView:
         expand=view.expand,
         degree_of=degree_of,
         degree_bound=lambda size: view.degree_bound(size) // k,
+        bidegree=view.bidegree,
     )
 
 
@@ -205,20 +226,27 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
     """Search for a strong-grading witness in degree g within the size bound.
 
     Enumerates basis monomials of degree g and of the inverse degree, forms
-    all pairwise products and solves for a rational combination equal to 1.
-    Returns None when no combination exists among monomials of the given
-    size; that is not a proof that none exists at larger sizes.
+    the products of the pairs whose bidegrees sum to (0, 0) and solves for a
+    rational combination equal to 1.  The other pairs have products of
+    nonzero bidegree, which cannot contribute to the unit, so dropping them
+    keeps the verdict of the search over all pairs.  Returns None when no
+    combination exists among monomials of the given size; that is not a
+    proof that none exists at larger sizes.
     """
     if size_bound < 1:
         raise ValueError("size bound must be >= 1")
     g = view.normalize_degree(g)
     if g == 0:
         return Witness(((view.one, view.one, Fraction(1)),))
-    left = view.enumerate_basis(g, size_bound)
-    right = view.enumerate_basis(view.negate_degree(g), size_bound)
-    if not left or not right:
-        return None
-    index_pairs = [(a, b) for a in left for b in right]
+    partners: dict = {}  # minus the bidegree of b -> the right monomials b
+    for b in view.enumerate_basis(view.negate_degree(g), size_bound):
+        m, d = view.bidegree(b)
+        partners.setdefault((-m, -d), []).append(b)
+    index_pairs = [
+        (a, b)
+        for a in view.enumerate_basis(g, size_bound)
+        for b in partners.get(view.bidegree(a), ())
+    ]
     products = [view.expand(view.multiply(a, b)) for a, b in index_pairs]
     combo = _combine_into_unit(products, view.unit_key())
     if combo is None:

@@ -12,6 +12,10 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
+# the highest power of z an input may ask for: an exponent in an expression
+# (``expr``) or the degree of p (``config``); cost grows steeply above it
+MAX_EXPONENT = 64
+
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction or string like ``"3/4"`` to an exact rational.

@@ -246,6 +246,34 @@ def test_exponent_up_to_the_limit_normalizes(capsys):
     assert code == 0 and records[0]["result"] == f"(z^{MAX_EXPONENT})"
 
 
+def degree_source(tmp_path, source):
+    kind, value = source
+    if kind == "--preset":
+        return [kind, value]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": value, "q_plus": "2", "q_minus": "3"}))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("source,degree", [
+    (("--config", {"roots": [[0, 1], ["1/3", 1000000]]}), 1000001),
+    (("--preset", "lens(1,5000,2)"), 5001),
+    (("--config", {"coeffs": [0] * MAX_EXPONENT + [0, 1]}), MAX_EXPONENT + 1),
+])
+def test_degree_of_p_above_the_limit_is_usage_error(capsys, tmp_path, source, degree):
+    message = usage_error(capsys, *degree_source(tmp_path, source), "normalize", "z")
+    assert message == f"p has degree {degree}, larger than {MAX_EXPONENT}"
+
+
+@pytest.mark.parametrize("source", [
+    ("--config", {"roots": [[0, 1], ["1/3", MAX_EXPONENT - 1]]}),
+    ("--preset", f"lens(1,{MAX_EXPONENT - 1},2)"),
+])
+def test_degree_of_p_up_to_the_limit_works(capsys, tmp_path, source):
+    code, records, _ = run_cli(capsys, *degree_source(tmp_path, source), "normalize", "z")
+    assert code == 0 and records[0]["result"] == "(z)"
+
+
 def test_empty_config_path_is_usage_error(capsys):
     usage_error(capsys, "--config", "", "normalize", "x*y")
 

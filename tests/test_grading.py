@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from weylbundles.config import preset
+from weylbundles.config import PRESETS, preset
 from weylbundles.grading import (
     CompositionError,
     Witness,
+    _combine_into_unit,
     ambient_graded_view,
     compose_witnesses,
     induced_quotient_view,
@@ -16,6 +17,68 @@ from weylbundles.grading import (
 
 def view_of(name):
     return ambient_graded_view(preset(name).ambient_algebra())
+
+
+BIDEGREE_PRESETS = PRESETS + ("lens(3,2,1/2)",)
+
+
+def key_bidegree(key):
+    """(m, a - b) of the monomial key (m, a, b), read off independently of the view."""
+    m, a, b = key
+    return m, a - b
+
+
+def mono_bidegree(e):
+    (key,) = e.monomials()
+    return key_bidegree(key)
+
+
+def unpruned_found(view, g, bound) -> bool:
+    """The search over every left x right pair: the reference for the pruned one."""
+    g = view.normalize_degree(g)
+    if g == 0:
+        return True
+    left = view.enumerate_basis(g, bound)
+    right = view.enumerate_basis(view.negate_degree(g), bound)
+    products = [view.expand(view.multiply(a, b)) for a in left for b in right]
+    return _combine_into_unit(products, view.unit_key()) is not None
+
+
+@pytest.mark.parametrize("name", BIDEGREE_PRESETS)
+def test_products_carry_the_summed_bidegree(name):
+    amb = preset(name).ambient_algebra()
+    view = ambient_graded_view(amb)
+    basis = [amb.basis_elem(m, a, b)
+             for m in range(-3, 4) for a in range(4) for b in range(4)
+             if abs(m) + a + b <= 3]
+    for e in basis:
+        assert view.bidegree(e) == mono_bidegree(e)
+    for x in basis:
+        for y in basis:
+            m, d = mono_bidegree(x)
+            n, f = mono_bidegree(y)
+            keys = (x * y).monomials()
+            assert keys and {key_bidegree(key) for key in keys} == {(m + n, d + f)}
+
+
+@pytest.mark.parametrize("kind", ["plain", "quotient", "veronese"])
+@pytest.mark.parametrize("name", BIDEGREE_PRESETS)
+def test_bidegree_pruning_keeps_the_verdict(name, kind):
+    amb = preset(name).ambient_algebra()
+    view = ambient_graded_view(amb)
+    if kind == "quotient":
+        view = induced_quotient_view(view, max(amb.k, 2))
+    elif kind == "veronese":
+        view = veronese_view(view, amb.k)
+    for g in (1, -1, 2):
+        for bound in (3, 6):
+            w = witness_search(view, g, bound)
+            assert (w is not None) == unpruned_found(view, g, bound), (g, bound)
+            if w is not None:
+                assert w.check(view)
+                for a, b, _ in w.pairs:
+                    (m, d), (n, f) = mono_bidegree(a), mono_bidegree(b)
+                    assert (m + n, d + f) == (0, 0)
 
 
 def test_identity_degree_gives_unit_witness(sphere_amb):
