@@ -117,7 +117,7 @@ def _cmd_idempotent(cfg: Config, args, out: _Reporter) -> None:
 
 def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
-    zetas = [frac(args.zeta)] if args.zeta else list(cfg.nonzero_zetas())
+    zetas = [frac(args.zeta)] if args.zeta is not None else list(cfg.nonzero_zetas())
     if not zetas:
         raise ValueError("no nonzero root available for the pairing")
     checks: list[dict] = []
@@ -128,7 +128,7 @@ def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
 
 def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
     alg = cfg.gwa_algebra()
-    zetas = [frac(args.zeta)] if args.zeta else list(cfg.zetas)
+    zetas = [frac(args.zeta)] if args.zeta is not None else list(cfg.zetas)
     if not zetas:
         raise ValueError("no root listed for the trace")
     for zeta in zetas:
@@ -162,9 +162,9 @@ def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> None:
         record.update({
             "found": False,
             "note": (
-                f"none within bound {args.bound}; no product of the enumerated "
-                "degree pairs reaches the unit monomial, but larger sizes are "
-                "not ruled out"
+                f"none within bound {args.bound}; no rational combination of the "
+                "products of the enumerated degree pairs equals 1, but larger "
+                "sizes are not ruled out"
             ),
             "pass": True,
         })

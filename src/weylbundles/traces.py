@@ -2,8 +2,10 @@
 
 For every root zeta of p (with 0 also a root and q not a root of unity,
 i.e. q outside {0, 1, -1} over the rationals) there is a trace that kills
-all x/y monomials and all constants and acts on powers of z through a
-coefficient recursion in r.  Pairing it with the idempotent traces of
+all x/y monomials and all constants.  On polynomials in z it is fixed by
+the shift identity tau(f) - tau(f(qz + r)) = f(zeta) - f(0): solving
+F - F(qz + r) = f up to constants by one triangular back substitution
+gives tau(f) = F(zeta) - F(0).  Pairing it with the idempotent traces of
 :mod:`weylbundles.connection` yields the integer -n at level n.
 """
 from __future__ import annotations
@@ -26,14 +28,32 @@ def _check_q_admissible(q: Fraction):
         raise ValueError(f"q = {q} is zero or a root of unity")
 
 
+def _shift_antidifference(q: Fraction, r: Fraction, f: dict[int, Fraction]) -> list[Fraction]:
+    """Coefficients [0, a_1, ..., a_d] of an F with F - F(qz + r) - f constant.
+
+    The z^i coefficient of F - F(qz + r) is (1 - q^i) a_i minus the sum over
+    j > i of C(j, i) q^i r^(j-i) a_j: a triangular system whose diagonal is
+    nonzero for i >= 1 because q is not a root of unity.  It is solved from
+    the top degree down; for r = 0 it is diagonal.
+    """
+    d = max(f, default=0)
+    a = [Fraction(0)] * (d + 1)
+    r_pows = [r**k for k in range(d + 1)] if r else None
+    for i in range(d, 0, -1):
+        rhs = f.get(i, Fraction(0))
+        if r:
+            rhs += q**i * sum((comb(j, i) * r_pows[j - i] * a[j] for j in range(i + 1, d + 1)),
+                              Fraction(0))
+        a[i] = rhs / (1 - q**i)
+    return a
+
+
 class CyclicTrace:
     """The trace determined by (q, r) and a root zeta of p.
 
     ``on_poly`` is the linear functional on polynomials in z that vanishes
-    on constants; ``__call__`` extends it to algebra elements by killing
-    every term carrying an x or y power.  The coefficient cache is the one
-    mutable piece of state in the package; confine an instance to a single
-    thread or guard it.
+    on constants and satisfies the shift identity; ``__call__`` extends it
+    to algebra elements by killing every term carrying an x or y power.
     """
 
     def __init__(self, q, r, zeta):
@@ -41,7 +61,6 @@ class CyclicTrace:
         self.r = frac(r)
         self.zeta = frac(zeta)
         _check_q_admissible(self.q)
-        self._coeff_cache: dict[int, tuple[Fraction, ...]] = {}
 
     @classmethod
     def for_algebra(cls, alg: GwaAlgebra, zeta) -> "CyclicTrace":
@@ -56,43 +75,21 @@ class CyclicTrace:
     def coeffs(self, n: int) -> tuple[Fraction, ...]:
         """Coefficient vector (c_1, ..., c_n) of the degree-n moment.
 
-        c_n = 1 and, counting down from the top index,
-
-            c_{n-k} = sum_{i=1..k} C(n,i) r^i q^{n-i}/(1-q^{n-i}) * c'_{n-k},
-
-        where c' is the coefficient vector at degree n-i.  For r = 0 only
-        c_n survives.
+        The value on z^n is sum_i c_i zeta^i / (1 - q^n), so c is (1 - q^n)
+        times the solution of F - F(qz + r) = z^n; c_n = 1, and for r = 0
+        only c_n survives.
         """
         if n < 1:
             raise ValueError("moment coefficients are defined for n >= 1")
-        cached = self._coeff_cache.get(n)
-        if cached is not None:
-            return cached
-        q, r = self.q, self.r
-        t: list[Optional[Fraction]] = [None] * (n + 1)
-        t[n] = Fraction(1)
-        for k in range(1, n):
-            j = n - k
-            total = Fraction(0)
-            if r:
-                for i in range(1, k + 1):
-                    lower = self.coeffs(n - i)
-                    total += comb(n, i) * r**i * q ** (n - i) / (1 - q ** (n - i)) * lower[j - 1]
-            t[j] = total
-        result = tuple(t[1:])
-        self._coeff_cache[n] = result
-        return result
+        scale = 1 - self.q**n
+        solve = _shift_antidifference(self.q, self.r, {n: Fraction(1)})
+        return tuple(scale * a for a in solve[1:])
 
     def on_poly(self, f: UniPoly) -> Fraction:
-        """Value on a polynomial in z; constants contribute nothing."""
+        """Value on a polynomial in z: F(zeta) - F(0), F the solve for f, by Horner."""
         total = Fraction(0)
-        for d, c in f.coeffs.items():
-            if d == 0:
-                continue
-            coeffs = self.coeffs(d)
-            total += c * sum(
-                (coeffs[i - 1] * self.zeta**i for i in range(1, d + 1)), Fraction(0)
-            ) / (1 - self.q**d)
+        for a in reversed(_shift_antidifference(self.q, self.r, f.coeffs)[1:]):
+            total = (total + a) * self.zeta
         return total
 
     def __call__(self, e: GwaElem) -> Fraction:

@@ -155,6 +155,16 @@ def test_grading_check_none_within_bound(capsys):
     assert rec["found"] is False and "none within bound 8" in rec["note"]
 
 
+def test_grading_check_absent_note_names_the_combination(capsys):
+    # one of the products touches the unit monomial; only no combination equals 1
+    code, records, _ = run_cli(capsys, "--preset", "kleinian-demo", "grading-check",
+                               "--degree", "1", "--bound", "3", "--veronese", "2")
+    assert code == 0
+    note = records[0]["note"]
+    assert records[0]["found"] is False
+    assert "no rational combination" in note and "reaches the unit" not in note
+
+
 def test_grading_check_quotient(capsys):
     code, records, _ = run_cli(capsys, "--preset", "lens(2,1,2)", "grading-check",
                                "--degree", "1", "--bound", "6", "--quotient", "2")
@@ -217,6 +227,11 @@ def usage_error(capsys, *args) -> str:
 ])
 def test_zero_denominator_is_usage_error(capsys, args):
     assert "zero denominator" in usage_error(capsys, *args)
+
+
+@pytest.mark.parametrize("command", [("chern", "--n", "1"), ("trace-check",)])
+def test_empty_zeta_is_usage_error(capsys, command):
+    usage_error(capsys, "--preset", "kleinian-demo", *command, "--zeta", "")
 
 
 @pytest.mark.parametrize("option", ["--quotient", "--veronese"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylbundles.config import Config, preset
+from weylbundles.config import PRESETS, Config, preset
+from weylbundles.connection import idempotent_trace, idempotent_trace_recursive
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
 from weylbundles.poly import UniPoly
 from weylbundles.sampling import random_unipoly
@@ -28,6 +29,69 @@ def moment_oracle(q: Fraction, r: Fraction, zeta: Fraction, max_deg: int):
         )
         values[n] = (zeta**n + shifted) / (1 - q**n)
     return values
+
+
+def recursion_coeffs(q: Fraction, r: Fraction, n: int, memo: dict) -> tuple[Fraction, ...]:
+    """The moment coefficients by their recursion in r, memoised per (q, r).
+
+    c_n = 1 and, counting down from the top index,
+
+        c_{n-k} = sum_{i=1..k} C(n,i) r^i q^{n-i}/(1-q^{n-i}) * c'_{n-k},
+
+    where c' is the coefficient vector at degree n-i.
+    """
+    if n not in memo:
+        t = [Fraction(0)] * (n + 1)
+        t[n] = Fraction(1)
+        for k in range(1, n):
+            j = n - k
+            if r:
+                t[j] = sum((comb(n, i) * r**i * q ** (n - i) / (1 - q ** (n - i))
+                            * recursion_coeffs(q, r, n - i, memo)[j - 1]
+                            for i in range(1, k + 1)), Fraction(0))
+        memo[n] = tuple(t[1:])
+    return memo[n]
+
+
+def recursion_on_poly(q: Fraction, r: Fraction, zeta: Fraction, f: UniPoly) -> Fraction:
+    """The trace value on f, assembled from the recursion's coefficients."""
+    memo: dict = {}
+    total = Fraction(0)
+    for d, c in f.coeffs.items():
+        if d:
+            coeffs = recursion_coeffs(q, r, d, memo)
+            total += c * sum((coeffs[i - 1] * zeta**i for i in range(1, d + 1)),
+                             Fraction(0)) / (1 - q**d)
+    return total
+
+
+def assert_matches_recursion(q, r, zeta, f):
+    trace = CyclicTrace(q, r, zeta)
+    memo: dict = {}
+    for n in range(1, (f.degree() or 0) + 1):
+        assert trace.coeffs(n) == recursion_coeffs(trace.q, trace.r, n, memo)
+    assert trace.on_poly(f) == recursion_on_poly(trace.q, trace.r, trace.zeta, f)
+
+
+@pytest.mark.parametrize("q,r,zeta", [(4, 0, 1), (4, "1/2", 1), (-3, 2, "3/7"),
+                                      ("2/5", "-1/3", -2), ("-7/2", "5/3", "1/9")])
+def test_solve_matches_recursion(q, r, zeta):
+    f = UniPoly({d: Fraction(d % 5 - 2, d % 3 + 1) for d in range(25)})
+    assert_matches_recursion(q, r, zeta, f)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_fractions.filter(lambda q: q not in (0, 1, -1)),
+    small_fractions,
+    small_fractions,
+    st.dictionaries(st.integers(0, 24), small_fractions, max_size=8).map(UniPoly),
+)
+def test_solve_matches_recursion_on_draws(q, r, zeta, f):
+    assert_matches_recursion(q, r, zeta, f)
 
 
 @pytest.mark.parametrize("q,r", [(Fraction(4), Fraction(0)),
@@ -150,3 +214,15 @@ def test_chern_pairing_rejects_bad_zeta(sphere_amb):
 def test_config_zeta_validation():
     with pytest.raises(ValueError):
         Config(name="bad", p=P_SPHERE, q_plus=2, q_minus=2, zetas=(Fraction(5),))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_deep_pairing_on_recursive_traces(name):
+    cfg = preset(name)
+    amb = cfg.ambient_algebra()
+    for n in (5, 6, 7):
+        assert idempotent_trace(amb, n, max_level=7) == idempotent_trace_recursive(amb, n)
+    for n in (10, 20, 30, 40):
+        e = idempotent_trace_recursive(amb, n)
+        for zeta in cfg.nonzero_zetas():
+            assert CyclicTrace(amb.q, 0, zeta).on_poly(e) == -n
