@@ -181,6 +181,8 @@ def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
     if args.dim < 3:
         raise ValueError(f"--dim must be >= 3 so the truncation has an interior index, "
                          f"got {args.dim}")
+    if args.dim > numrep.MAX_DIM:
+        raise ValueError(f"--dim must be <= {numrep.MAX_DIM}, got {args.dim}")
     if cfg.r != 0:
         raise ValueError("the truncated representation needs r = 0")
     alg = cfg.gwa_algebra()

@@ -69,6 +69,11 @@ class TruncatedRep:
         return _p_float(self.p_coeffs, v)
 
 
+# the largest truncation :func:`truncated_rep` builds: it forms q^j zeta exactly
+# for every j up to dim, and a CSV dump is three dense dim x dim files
+MAX_DIM = 1024
+
+
 def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
     """Bands with z diagonal on the orbit and x lowering the index.
 
@@ -81,8 +86,8 @@ def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
         raise ValueError("truncated representation needs r = 0")
     if not (0 < alg.q < 1):
         raise ValueError(f"truncated representation needs q in (0, 1), got {alg.q}")
-    if dim < 2:
-        raise ValueError("dimension must be >= 2")
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {dim}")
     zeta = frac(zeta)
     orbit = [alg.q**j * zeta for j in range(dim + 1)]
     values = [alg.p(w) for w in orbit]

@@ -4,12 +4,18 @@ Everything here is immutable after construction and every operation is a
 pure function, so values are safe to share across threads.  The coefficient
 field is the rationals, realized as :class:`fractions.Fraction` (always in
 lowest terms, positive denominator, parses and prints as ``"a/b"``).
+
+Storage stays ``Fraction``, but products and :meth:`UniPoly.compose_linear`
+run fraction-free, in the layout of FLINT's ``fmpq_poly``: each operand is
+brought to integer numerators over one common denominator, the inner loop
+adds and multiplies plain ints, and each output coefficient is normalized
+once, as ``Fraction(numerator, denominator)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 # the highest power of z an input may ask for: an exponent in an expression
@@ -33,6 +39,13 @@ def frac(x) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _integer_terms(coeffs: Mapping) -> tuple[list, int]:
+    """``coeffs`` as integer numerators over the lcm ``den`` of its denominators:
+    ``(terms, den)`` with ``coeffs[k] == n / den`` for each ``(k, n)`` in ``terms``."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in coeffs.items()], den
 
 
 def _format_terms(pieces: Iterable[tuple[Fraction, str]]) -> str:
@@ -60,7 +73,10 @@ class _SparsePoly:
     ``coeffs`` maps exponent keys to nonzero coefficients and ``_UNIT`` is
     the key of the constant monomial.  Each subclass keeps its own
     ``__init__`` (key validation) and product loop (key addition), the two
-    places where the key type matters.
+    places where the key type matters.  Both product loops run on the integer
+    numerators of :func:`_integer_terms` and drop a key as soon as its running
+    sum cancels, so ``coeffs`` keeps the key order of a plain ``Fraction`` loop
+    (``numrep`` sums floats in that order).
     """
 
     __slots__ = ("coeffs",)
@@ -185,16 +201,19 @@ class UniPoly(_SparsePoly):
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             return self._scale(other)
-        data: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
+        left, den1 = _integer_terms(self.coeffs)
+        right, den2 = _integer_terms(other.coeffs)
+        data: dict[int, int] = {}
+        for d1, n1 in left:
+            for d2, n2 in right:
                 d = d1 + d2
-                v = data.get(d, Fraction(0)) + c1 * c2
+                v = data.get(d, 0) + n1 * n2
                 if v:
                     data[d] = v
                 else:
                     del data[d]
-        return UniPoly._make(data)
+        den = den1 * den2
+        return UniPoly._make({d: Fraction(v, den) for d, v in data.items()})
 
     def __call__(self, x) -> Fraction:
         x = frac(x)
@@ -202,15 +221,29 @@ class UniPoly(_SparsePoly):
 
     def compose_linear(self, a, b) -> "UniPoly":
         """Substitute ``z -> a*z + b``: by the binomial theorem ``c*z^d`` becomes
-        ``c * sum_i C(d, i) a^i b^(d-i) z^i``, the one term ``c*a^d*z^d`` if b = 0."""
+        ``c * sum_i C(d, i) a^i b^(d-i) z^i``, the one term ``c*a^d*z^d`` if b = 0.
+
+        With ``a = an/ad``, ``b = bn/bd`` and top the degree, every term lies over
+        ``den * (ad*bd)^top``: ``a^i`` contributes ``an^i ad^(top-i)`` to the
+        numerator and ``b^j`` contributes ``bn^j bd^(top-j)``."""
         a, b = frac(a), frac(b)
+        if not self.coeffs:
+            return UniPoly.zero()
+        terms, den = _integer_terms(self.coeffs)
+        top = max(self.coeffs)
+        an, ad = a.numerator, a.denominator
+        apow = [an**i * ad ** (top - i) for i in range(top + 1)]
+        den *= ad**top
         if not b:
-            return UniPoly._make({d: v for d, c in self.coeffs.items() if (v := c * a**d)})
-        data: dict[int, Fraction] = {}
-        for d, c in self.coeffs.items():
+            return UniPoly._make({d: Fraction(v, den) for d, n in terms if (v := n * apow[d])})
+        bn, bd = b.numerator, b.denominator
+        bpow = [bn**j * bd ** (top - j) for j in range(top + 1)]
+        den *= bd**top
+        data: dict[int, int] = {}
+        for d, n in terms:
             for i in range(d + 1):
-                data[i] = data.get(i, Fraction(0)) + c * comb(d, i) * a**i * b ** (d - i)
-        return UniPoly._make({i: v for i, v in data.items() if v})
+                data[i] = data.get(i, 0) + n * comb(d, i) * apow[i] * bpow[d - i]
+        return UniPoly._make({i: Fraction(v, den) for i, v in data.items() if v})
 
     def shift_down(self, k: int) -> "UniPoly":
         """Exact division by ``z^k``; requires every exponent >= k."""
@@ -346,16 +379,19 @@ class PairPoly(_SparsePoly):
     def __mul__(self, other) -> "PairPoly":
         if not isinstance(other, PairPoly):
             return self._scale(other)
-        data: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
+        left, den1 = _integer_terms(self.coeffs)
+        right, den2 = _integer_terms(other.coeffs)
+        data: dict[tuple[int, int], int] = {}
+        for (a1, b1), n1 in left:
+            for (a2, b2), n2 in right:
                 k = (a1 + a2, b1 + b2)
-                v = data.get(k, Fraction(0)) + c1 * c2
+                v = data.get(k, 0) + n1 * n2
                 if v:
                     data[k] = v
                 else:
                     del data[k]
-        return PairPoly._make(data)
+        den = den1 * den2
+        return PairPoly._make({k: Fraction(v, den) for k, v in data.items()})
 
     def __str__(self) -> str:
         pieces = []

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weylbundles import acceptance, cli
+from weylbundles import acceptance, cli, numrep
 from weylbundles.cli import main
 from weylbundles.config import PRESETS, config_from_dict, load_config, poly_from_roots, preset
 from weylbundles.expr import MAX_EXPONENT, MAX_NESTING
@@ -325,6 +325,23 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, data, message):
 def test_rep_check_small_dim_is_usage_error(capsys, dim):
     assert "--dim must be >= 3" in usage_error(
         capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", dim)
+
+
+@pytest.mark.parametrize("dim", [str(numrep.MAX_DIM + 1), "100000000", str(10**30)])
+def test_rep_check_huge_dim_is_usage_error(capsys, tmp_path, dim):
+    out = tmp_path / "m"
+    assert f"--dim must be <= {numrep.MAX_DIM}" in usage_error(
+        capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", dim,
+        "--dump-csv", str(out))
+    assert not out.exists()
+
+
+def test_rep_check_at_max_dim(capsys):
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "rep-check", "--zeta", "1",
+                               "--dim", str(numrep.MAX_DIM))
+    assert code == 0
+    assert records[-1]["params"]["dim"] == numrep.MAX_DIM
+    assert records[-1]["interior_indices"] == [1, numrep.MAX_DIM - 2]
 
 
 def test_rep_check_unwritable_csv_dir_is_usage_error(capsys, tmp_path):

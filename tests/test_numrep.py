@@ -8,6 +8,7 @@ import pytest
 from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import GwaAlgebra
 from weylbundles.numrep import (
+    MAX_DIM,
     dump_matrices_csv,
     one_dim_rep,
     one_dim_residuals,
@@ -114,6 +115,13 @@ def test_relation_residuals_flag_perturbation(sphere_rep):
     sphere_rep.x[4] += 1e-3
     report = relation_residuals(sphere_rep)
     assert report["relations"]["yx"] > 1e-6
+
+
+def test_truncation_dimension_is_capped():
+    alg = GwaAlgebra(P_SPHERE, Fraction(1, 4), 0)
+    assert truncated_rep(alg, 1, MAX_DIM).dim == MAX_DIM
+    with pytest.raises(ValueError, match=str(MAX_DIM)):
+        truncated_rep(alg, 1, MAX_DIM + 1)
 
 
 def test_tiny_truncation_has_no_interior():

@@ -17,3 +17,32 @@ def test_tracer_installs_on_the_package():
     proc = subprocess.run([sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+READ_COEFFS = """
+from fractions import Fraction
+from tracer import Tracer
+from weylbundles.poly import UniPoly
+from worker import poly_size
+
+f, g = UniPoly({0: Fraction(1, 3), 3: 1}), UniPoly({0: Fraction(1, 3), 3: -1})
+product = f * g                                          # 1/9 - z^6
+image = UniPoly({2: 1}).compose_linear(Fraction(1, 1000), -3)  # z^2/10^6 - 3/500*z + 9
+for h in (product, image):
+    assert all(type(c) is Fraction for c in h.coeffs.values()), h.coeffs
+assert poly_size([product]) == (6, 4), poly_size([product])
+assert poly_size([image]) == (2, 20), poly_size([image])
+tracer = Tracer()
+tracer.install()
+f * g
+assert tracer.counts["poly.mul.coeff_mults"] == 4, tracer.counts
+"""
+
+
+def test_benchmark_reads_coeffs_as_fractions():
+    """``worker.poly_size`` and the ``poly.mul`` counter read ``.coeffs`` of products."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", READ_COEFFS],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,9 @@ fractions = st.fractions(
 polys = st.dictionaries(
     st.integers(min_value=0, max_value=6), fractions, max_size=5
 ).map(UniPoly)
+# numerators and denominators up to 2**256, drawn independently
+big_fractions = st.builds(Fraction, st.integers(-2**256, 2**256), st.integers(1, 2**256))
+wide_fractions = st.one_of(fractions, big_fractions)
 
 
 def test_frac_parses_and_rejects_floats():
@@ -148,9 +152,9 @@ def horner_compose(f: UniPoly, a, b) -> UniPoly:
 
 
 deep_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=30), fractions, max_size=8
+    st.integers(min_value=0, max_value=30), wide_fractions, max_size=8
 ).map(UniPoly)
-scalars = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+scalars = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=5), big_fractions)
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,6 +167,77 @@ scalars = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 @example(UniPoly({0: 4, 2: -1}), Fraction(0), Fraction(3, 2))
 def test_compose_linear_matches_horner(f, a, b):
     assert f.compose_linear(a, b) == horner_compose(f, a, b)
+
+
+# -- the integer kernel against the Fraction product loop ----------------
+
+def fraction_mul_reference(f, g):
+    """The product loop on ``Fraction`` coefficients, one key addition per type."""
+    data = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            k = k1 + k2 if isinstance(f, UniPoly) else (k1[0] + k2[0], k1[1] + k2[1])
+            v = data.get(k, Fraction(0)) + c1 * c2
+            if v:
+                data[k] = v
+            else:
+                del data[k]
+    return type(f)(data)
+
+
+def assert_normalized(f):
+    for c in f.coeffs.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def assert_matches_reference(f, g):
+    product = f * g
+    expected = fraction_mul_reference(f, g)
+    assert product == expected
+    assert list(product.coeffs) == list(expected.coeffs)  # numrep sums floats in this order
+    assert_normalized(product)
+
+
+exponents = st.integers(min_value=0, max_value=60)
+sparse_polys = st.dictionaries(exponents, wide_fractions, max_size=6).map(UniPoly)
+sparse_pair_polys = st.dictionaries(
+    st.tuples(exponents, exponents), wide_fractions, max_size=6).map(PairPoly)
+ZP, ZM = PairPoly.monomial(1, 0), PairPoly.monomial(0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_polys, sparse_polys)
+@example(UniPoly.zero(), UniPoly({0: Fraction(2**255, 3), 60: 1}))
+@example(UniPoly({0: 1, 1: 1}), UniPoly({0: 1, 1: -1}))
+@example(UniPoly({0: 1, 1: 1, 2: 1}), UniPoly({2: 1, 1: -1, 0: 2}))  # z^2 cancels, returns
+@example(UniPoly({0: Fraction(1, 2**256), 2: Fraction(-3, 7)}),
+         UniPoly({0: Fraction(2**256, 5), 2: Fraction(7, 3)}))
+def test_unipoly_product_matches_fraction_loop(f, g):
+    assert_matches_reference(f, g)
+    assert_matches_reference(f, f - g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pair_polys, sparse_pair_polys)
+@example(PairPoly.zero(), PairPoly({(60, 0): Fraction(-1, 2**256)}))
+@example(ZP - ZM, ZP + ZM)
+@example(PairPoly({(0, 0): 1, (1, 1): 1, (2, 2): 1}), PairPoly({(2, 2): 1, (1, 1): -1, (0, 0): 2}))
+def test_pairpoly_product_matches_fraction_loop(f, g):
+    assert_matches_reference(f, g)
+    assert_matches_reference(f, f - g)
+
+
+def test_products_that_cancel_to_zero():
+    one, z = UniPoly.one(), UniPoly.gen()
+    assert (one + z) * (one - z) - (one - z * z) == UniPoly.zero()
+    assert (one + z) * (one - z) == UniPoly({0: 1, 2: -1})
+    assert (ZP - ZM) * (ZP + ZM) == ZP * ZP - ZM * ZM
+    assert (ZP - ZM) * (ZP + ZM) - (ZP * ZP - ZM * ZM) == PairPoly.zero()
+    half = Fraction(1, 2**256)
+    assert UniPoly({3: half}) * UniPoly.zero() == UniPoly.zero()
+    assert (UniPoly({0: half, 5: 1}) * UniPoly({0: half, 5: -1})).coeffs == {
+        0: half * half, 10: Fraction(-1)}
 
 
 # -- sympy as an independent oracle -------------------------------------
