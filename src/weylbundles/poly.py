@@ -9,7 +9,8 @@ Storage stays ``Fraction``, but products and :meth:`UniPoly.compose_linear`
 run fraction-free, in the layout of FLINT's ``fmpq_poly``: each operand is
 brought to integer numerators over one common denominator, the inner loop
 adds and multiplies plain ints, and each output coefficient is normalized
-once, as ``Fraction(numerator, denominator)``.
+once, as ``Fraction(numerator, denominator)``.  (A shift with no constant
+term needs no common denominator: it scales each coefficient on its own.)
 """
 from __future__ import annotations
 
@@ -223,27 +224,29 @@ class UniPoly(_SparsePoly):
         """Substitute ``z -> a*z + b``: by the binomial theorem ``c*z^d`` becomes
         ``c * sum_i C(d, i) a^i b^(d-i) z^i``, the one term ``c*a^d*z^d`` if b = 0.
 
-        With ``a = an/ad``, ``b = bn/bd`` and top the degree, every term lies over
-        ``den * (ad*bd)^top``: ``a^i`` contributes ``an^i ad^(top-i)`` to the
-        numerator and ``b^j`` contributes ``bn^j bd^(top-j)``."""
+        Both run on ints, with ``a = an/ad`` and ``b = bn/bd``.  For b = 0 the
+        coefficient ``n/m`` of ``z^d`` becomes ``Fraction(n * an^d, m * ad^d)``.
+        Otherwise every term lies over ``den * (ad*bd)^top``, for ``den`` the
+        common denominator of the coefficients and top the degree: ``a^i b^j``
+        contributes ``an^i ad^(top-i) bn^j bd^(top-j)`` to the numerator."""
         a, b = frac(a), frac(b)
+        an, ad = a.numerator, a.denominator
+        if not b:
+            return UniPoly._make({d: Fraction(v, c.denominator * ad**d)
+                                  for d, c in self.coeffs.items() if (v := c.numerator * an**d)})
         if not self.coeffs:
             return UniPoly.zero()
         terms, den = _integer_terms(self.coeffs)
         top = max(self.coeffs)
-        an, ad = a.numerator, a.denominator
-        apow = [an**i * ad ** (top - i) for i in range(top + 1)]
-        den *= ad**top
-        if not b:
-            return UniPoly._make({d: Fraction(v, den) for d, n in terms if (v := n * apow[d])})
         bn, bd = b.numerator, b.denominator
         bpow = [bn**j * bd ** (top - j) for j in range(top + 1)]
-        den *= bd**top
         data: dict[int, int] = {}
         for d, n in terms:
             for i in range(d + 1):
-                data[i] = data.get(i, 0) + n * comb(d, i) * apow[i] * bpow[d - i]
-        return UniPoly._make({i: Fraction(v, den) for i, v in data.items() if v})
+                data[i] = data.get(i, 0) + n * comb(d, i) * bpow[d - i]
+        den *= (ad * bd) ** top
+        return UniPoly._make({i: Fraction(w, den) for i, v in data.items()
+                              if (w := v * an**i * ad ** (top - i))})
 
     def shift_down(self, k: int) -> "UniPoly":
         """Exact division by ``z^k``; requires every exponent >= k."""
