@@ -9,8 +9,8 @@ Storage stays ``Fraction``, but products and :meth:`UniPoly.compose_linear`
 run fraction-free, in the layout of FLINT's ``fmpq_poly``: each operand is
 brought to integer numerators over one common denominator, the inner loop
 adds and multiplies plain ints, and each output coefficient is normalized
-once, as ``Fraction(numerator, denominator)``.  (A shift with no constant
-term needs no common denominator: it scales each coefficient on its own.)
+once, as ``Fraction(numerator, denominator)``.  A shift with no constant
+term maps each coefficient to one and stays a ``Fraction`` product.
 """
 from __future__ import annotations
 
@@ -224,20 +224,18 @@ class UniPoly(_SparsePoly):
         """Substitute ``z -> a*z + b``: by the binomial theorem ``c*z^d`` becomes
         ``c * sum_i C(d, i) a^i b^(d-i) z^i``, the one term ``c*a^d*z^d`` if b = 0.
 
-        Both run on ints, with ``a = an/ad`` and ``b = bn/bd``.  For b = 0 the
-        coefficient ``n/m`` of ``z^d`` becomes ``Fraction(n * an^d, m * ad^d)``.
-        Otherwise every term lies over ``den * (ad*bd)^top``, for ``den`` the
-        common denominator of the coefficients and top the degree: ``a^i b^j``
-        contributes ``an^i ad^(top-i) bn^j bd^(top-j)`` to the numerator."""
+        The expansion runs on ints: with ``a = an/ad`` and ``b = bn/bd``, every
+        term lies over ``den * (ad*bd)^top``, for ``den`` the common denominator
+        of the coefficients and top the degree, and ``a^i b^j`` contributes
+        ``an^i ad^(top-i) bn^j bd^(top-j)`` to the numerator.  For b = 0 nothing
+        accumulates, and the ``Fraction`` product's two cross gcds are cheaper
+        on large coefficients than one gcd of the integer products."""
         a, b = frac(a), frac(b)
-        an, ad = a.numerator, a.denominator
         if not b:
-            return UniPoly._make({d: Fraction(v, c.denominator * ad**d)
-                                  for d, c in self.coeffs.items() if (v := c.numerator * an**d)})
-        if not self.coeffs:
-            return UniPoly.zero()
+            return UniPoly._make({d: v for d, c in self.coeffs.items() if (v := c * a**d)})
         terms, den = _integer_terms(self.coeffs)
-        top = max(self.coeffs)
+        top = max(self.coeffs, default=0)
+        an, ad = a.numerator, a.denominator
         bn, bd = b.numerator, b.denominator
         bpow = [bn**j * bd ** (top - j) for j in range(top + 1)]
         data: dict[int, int] = {}
