@@ -234,10 +234,10 @@ def test_products_that_cancel_to_zero():
     assert (one + z) * (one - z) == UniPoly({0: 1, 2: -1})
     assert (ZP - ZM) * (ZP + ZM) == ZP * ZP - ZM * ZM
     assert (ZP - ZM) * (ZP + ZM) - (ZP * ZP - ZM * ZM) == PairPoly.zero()
-    half = Fraction(1, 2**256)
-    assert UniPoly({3: half}) * UniPoly.zero() == UniPoly.zero()
-    assert (UniPoly({0: half, 5: 1}) * UniPoly({0: half, 5: -1})).coeffs == {
-        0: half * half, 10: Fraction(-1)}
+    tiny = Fraction(1, 2**256)
+    assert UniPoly({3: tiny}) * UniPoly.zero() == UniPoly.zero()
+    assert (UniPoly({0: tiny, 5: 1}) * UniPoly({0: tiny, 5: -1})).coeffs == {
+        0: tiny * tiny, 10: Fraction(-1)}
 
 
 # -- sympy as an independent oracle -------------------------------------
