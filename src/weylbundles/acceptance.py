@@ -33,7 +33,14 @@ from .grading import (
     veronese_view,
     witness_search,
 )
-from .numrep import one_dim_rep, one_dim_residuals, relation_residuals, truncated_rep
+from .numrep import (
+    SCALAR_TOLERANCE,
+    TRUNCATED_TOLERANCE,
+    one_dim_rep,
+    one_dim_residuals,
+    relation_residuals,
+    truncated_rep,
+)
 from .poly import UniPoly, auto_shift_product
 from .sampling import (
     random_gwa_elem,
@@ -387,14 +394,14 @@ def criterion_representations() -> list[dict]:
     for relation, value in report["relations"].items():
         _record_bool(checks, "truncated-rep-residual",
                      {"relation": relation, "dim": 16, "q": "1/4", "zeta": "1"},
-                     value < 1e-10, f"residual {value:.3e}")
+                     value < TRUNCATED_TOLERANCE, f"residual {value:.3e}")
     sphere_alg = preset("sphere").gwa_algebra()
     for lam in (1, -1):
         scalar = one_dim_rep(sphere_alg, lam)
         for relation, value in one_dim_residuals(sphere_alg, scalar).items():
             _record_bool(checks, "one-dim-rep-residual",
                          {"relation": relation, "lam": lam},
-                         value < 1e-12, f"residual {value:.3e}")
+                         value < SCALAR_TOLERANCE, f"residual {value:.3e}")
     return checks
 
 

@@ -33,10 +33,16 @@ from .expr import (
     gens_used,
     parse,
 )
-from .grading import ambient_graded_view, induced_quotient_view, veronese_view, witness_search
+from .grading import (
+    ambient_graded_view,
+    check_size_bound,
+    induced_quotient_view,
+    veronese_view,
+    witness_search,
+)
 from .gwa import GwaAlgebra
 from .poly import frac
-from .traces import CyclicTrace, chern_pairing, record_check, verify_trace
+from .traces import CyclicTrace, check_trace_sizes, chern_pairing, record_check, verify_trace
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -127,6 +133,7 @@ def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
 
 
 def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
+    check_trace_sizes(args.bound, args.pairs)
     alg = cfg.gwa_algebra()
     zetas = [frac(args.zeta)] if args.zeta is not None else list(cfg.zetas)
     if not zetas:
@@ -144,6 +151,7 @@ def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
 
 
 def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> None:
+    check_size_bound(args.bound)
     amb = cfg.ambient_algebra()
     view = ambient_graded_view(amb)
     label = "ambient"
@@ -193,7 +201,8 @@ def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
         rep = numrep.one_dim_rep(alg, lam)  # raises, if at all, already for lam = 1
         worst = max(numrep.one_dim_residuals(alg, rep).values())
         out.emit({"check": "one-dim-rep", "params": {"lam": lam, "rep": rep},
-                  "expected": "< 1e-12", "got": f"{worst:.3e}", "pass": worst < 1e-12})
+                  "expected": f"< {numrep.SCALAR_TOLERANCE}", "got": f"{worst:.3e}",
+                  "pass": worst < numrep.SCALAR_TOLERANCE})
     if csv_paths is not None:
         out.emit({"command": "rep-check", "csv": csv_paths})
     report = numrep.relation_residuals(trunc)
@@ -203,7 +212,8 @@ def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
               "relations": report["relations"],
               "interior_indices": report["interior_indices"],
               "positivity_checked_upto": report["positivity_checked_upto"],
-              "expected": "< 1e-10", "got": f"{worst:.3e}", "pass": worst < 1e-10})
+              "expected": f"< {numrep.TRUNCATED_TOLERANCE}", "got": f"{worst:.3e}",
+              "pass": worst < numrep.TRUNCATED_TOLERANCE})
 
 
 def _cmd_verify_all(cfg: None, args, out: _Reporter) -> None:

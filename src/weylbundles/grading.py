@@ -13,17 +13,18 @@ bihomogeneous, so a product of basis monomials is bihomogeneous of the
 summed bidegree, and the unit has bidegree (0, 0).  Taking the (0, 0)
 component of any combination equal to 1 leaves a combination of only the
 pairs whose bidegrees cancel, still equal to 1; the search forms just
-those products, and its found/absent verdict is the unpruned one.  Every
-view below is built from the ambient one and keeps its bidegree.
+those products, and its found/absent verdict is the unpruned one.
 
-Views of a graded algebra can be re-graded along the quotient map to Z/kZ
-or restricted to the subgroup kZ (the Veronese re-grading); witnesses for
-the outer gradings of such a chain compose back into a witness for the
-middle one.
+Every view is the ambient grading read in units of a step and, for a
+quotient, mod a modulus: re-grading along the quotient map to Z/kZ sets
+the modulus, and restricting to the subgroup kZ (the Veronese re-grading)
+multiplies the step by k.  Witnesses for the outer gradings of such a chain
+compose back into a witness for the middle one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -34,28 +35,64 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class GradedView:
-    """A graded algebra presented through enumeration and multiplication.
+    """The ambient grading read in units of ``step`` and mod ``modulus``.
 
-    ``modulus`` is None for an integer grading and k for grading classes
-    mod k.  ``enumerate_basis(g, size)`` lists the basis monomials of
-    degree g whose total generator exponent is at most the size bound,
-    deterministically.  ``expand`` writes an element as a monomial-keyed
-    coefficient dict and ``degree_of`` reads the degree of a homogeneous
-    element.  ``degree_bound(size)`` bounds |degree| over monomials within
-    the size bound (used to enumerate quotient classes).  ``bidegree(e)``
-    is the ambient Z^2 bidegree (m, a - b) of a basis monomial; products
-    of basis monomials are bihomogeneous of the summed bidegree, which is
-    what lets ``witness_search`` skip pairs that cannot reach the unit.
+    A basis monomial of ambient degree d has view degree d / step (d must be
+    divisible by ``step``), reduced mod ``modulus`` when that is set.  The
+    plain view has step 1 and no modulus; ``veronese_view`` multiplies the
+    step and ``induced_quotient_view`` sets the modulus.  ``multiply`` is
+    the product that searches and witness checks use.
     """
 
-    modulus: Optional[int]
-    one: object
-    enumerate_basis: Callable[[int, int], list]
-    multiply: Callable[[object, object], object]
-    expand: Callable[[object], dict]
-    degree_of: Callable[[object], int]
-    degree_bound: Callable[[int], int]
-    bidegree: Callable[[object], tuple[int, int]]
+    amb: AmbientAlgebra
+    step: int = 1
+    modulus: Optional[int] = None
+    multiply: Callable[[object, object], object] = operator.mul
+
+    @property
+    def one(self):
+        return self.amb.one()
+
+    def expand(self, e) -> dict:
+        """The element as a coefficient dict keyed by monomial."""
+        return e.monomials()
+
+    def bidegree(self, e) -> tuple[int, int]:
+        """The ambient Z^2 bidegree (m, a - b) of a basis monomial.
+
+        Products of basis monomials are bihomogeneous of the summed bidegree,
+        which is what lets ``witness_search`` skip pairs that cannot reach 1.
+        """
+        ((m, a, b),) = e.monomials()
+        return m, a - b
+
+    def degree_of(self, e) -> int:
+        """The view degree of a nonzero homogeneous element."""
+        d = e.degree()
+        if d % self.step:
+            raise ValueError(f"degree {d} is not divisible by {self.step}")
+        return self.normalize_degree(d // self.step)
+
+    def enumerate_basis(self, g: int, size: int) -> list:
+        """Basis monomials of degree g and total exponent <= size, in a fixed order.
+
+        A class mod ``modulus`` runs through its view degrees d with
+        |d| <= size * k // step, the largest a monomial of that size reaches.
+        """
+        amb, step = self.amb, self.step
+        if self.modulus is None:
+            degrees = [g]
+        else:
+            bound = size * amb.k // step
+            degrees = [d for d in range(-bound, bound + 1) if d % self.modulus == g % self.modulus]
+        out = []
+        for d in degrees:
+            for m in range(-size, size + 1):
+                for a in range(0, size - abs(m) + 1):
+                    b = a - d * step - m * amb.k
+                    if b >= 0 and abs(m) + a + b <= size:
+                        out.append(amb.basis_elem(m, a, b))
+        return out
 
     def unit_key(self):
         (key,) = self.expand(self.one)
@@ -90,33 +127,9 @@ class Witness:
         return [[str(a), str(b), str(c)] for a, b, c in self.pairs]
 
 
-def _ambient_bidegree(e) -> tuple[int, int]:
-    ((m, a, b),) = e.monomials()
-    return m, a - b
-
-
 def ambient_graded_view(amb: AmbientAlgebra) -> GradedView:
     """The integer grading of the two-variable ambient algebra."""
-
-    def enumerate_basis(g: int, size: int) -> list:
-        out = []
-        for m in range(-size, size + 1):
-            for a in range(0, size - abs(m) + 1):
-                b = a - g - m * amb.k
-                if b >= 0 and abs(m) + a + b <= size:
-                    out.append(amb.basis_elem(m, a, b))
-        return out
-
-    return GradedView(
-        modulus=None,
-        one=amb.one(),
-        enumerate_basis=enumerate_basis,
-        multiply=lambda a, b: a * b,
-        expand=lambda e: e.monomials(),
-        degree_of=lambda e: e.degree(),
-        degree_bound=lambda size: size * amb.k,
-        bidegree=_ambient_bidegree,
-    )
+    return GradedView(amb)
 
 
 def induced_quotient_view(view: GradedView, k: int) -> GradedView:
@@ -125,25 +138,7 @@ def induced_quotient_view(view: GradedView, k: int) -> GradedView:
         raise ValueError("only integer gradings can be reduced mod k")
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def enumerate_basis(h: int, size: int) -> list:
-        bound = view.degree_bound(size)
-        out = []
-        for g in range(-bound, bound + 1):
-            if g % k == h % k:
-                out.extend(view.enumerate_basis(g, size))
-        return out
-
-    return GradedView(
-        modulus=k,
-        one=view.one,
-        enumerate_basis=enumerate_basis,
-        multiply=view.multiply,
-        expand=view.expand,
-        degree_of=lambda e: view.degree_of(e) % k,
-        degree_bound=view.degree_bound,
-        bidegree=view.bidegree,
-    )
+    return replace(view, modulus=k)
 
 
 def veronese_view(view: GradedView, k: int) -> GradedView:
@@ -152,23 +147,7 @@ def veronese_view(view: GradedView, k: int) -> GradedView:
         raise ValueError("only integer gradings have Veronese subalgebras")
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def degree_of(e) -> int:
-        d = view.degree_of(e)
-        if d % k:
-            raise ValueError(f"degree {d} is not divisible by {k}")
-        return d // k
-
-    return GradedView(
-        modulus=None,
-        one=view.one,
-        enumerate_basis=lambda n, size: view.enumerate_basis(n * k, size),
-        multiply=view.multiply,
-        expand=view.expand,
-        degree_of=degree_of,
-        degree_bound=lambda size: view.degree_bound(size) // k,
-        bidegree=view.bidegree,
-    )
+    return replace(view, step=view.step * k)
 
 
 def _combine_into_unit(products: list[dict], unit_key) -> Optional[dict[int, Fraction]]:
@@ -222,6 +201,17 @@ def _combine_into_unit(products: list[dict], unit_key) -> Optional[dict[int, Fra
     return {idx: -v for idx, v in combo.items() if v}
 
 
+# the largest size bound :func:`witness_search` takes: the monomials within
+# it grow as its cube, and with them the products and the elimination
+MAX_SIZE_BOUND = 12
+
+
+def check_size_bound(size_bound: int) -> None:
+    """Raise ValueError unless 1 <= size_bound <= MAX_SIZE_BOUND."""
+    if not 1 <= size_bound <= MAX_SIZE_BOUND:
+        raise ValueError(f"size bound must be in [1, {MAX_SIZE_BOUND}], got {size_bound}")
+
+
 def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witness]:
     """Search for a strong-grading witness in degree g within the size bound.
 
@@ -233,8 +223,7 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
     combination exists among monomials of the given size; that is not a
     proof that none exists at larger sizes.
     """
-    if size_bound < 1:
-        raise ValueError("size bound must be >= 1")
+    check_size_bound(size_bound)
     g = view.normalize_degree(g)
     if g == 0:
         return Witness(((view.one, view.one, Fraction(1)),))

@@ -23,6 +23,12 @@ def _p_float(coeffs: Mapping[int, Fraction], v: float) -> float:
     return sum(float(c) * v**d for d, c in coeffs.items())
 
 
+# the largest relation residual that passes, for the scalar and the
+# truncated representations
+SCALAR_TOLERANCE = 1e-12
+TRUNCATED_TOLERANCE = 1e-10
+
+
 def one_dim_rep(alg: GwaAlgebra, lam: int = 1) -> dict[str, float]:
     """Scalar representation at the fixed point z = r/(1-q); lam is +1 or -1.
 

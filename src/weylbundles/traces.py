@@ -112,6 +112,21 @@ def record_check(checks: list[dict], name: str, params: dict, expected, got) -> 
     return record
 
 
+# the largest sizes :func:`verify_trace` takes: it evaluates (bound + 1)^3
+# closed-form commutators and traces 2 * pairs random products
+MAX_TRACE_BOUND = 8
+MAX_TRACE_PAIRS = 1000
+
+
+def check_trace_sizes(bound: int, pairs: int) -> None:
+    """Raise ValueError unless 0 <= bound <= MAX_TRACE_BOUND and 0 <= pairs <= MAX_TRACE_PAIRS."""
+    if bound < 0 or pairs < 0:
+        raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
+    if bound > MAX_TRACE_BOUND or pairs > MAX_TRACE_PAIRS:
+        raise ValueError(f"bound must be <= {MAX_TRACE_BOUND} and pairs <= {MAX_TRACE_PAIRS}, "
+                         f"got {bound} and {pairs}")
+
+
 def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
                  pairs: int = 50, rng: Optional[Random] = None) -> list[dict]:
     """Check the trace property on the closed-form commutators and random pairs.
@@ -120,8 +135,7 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
     the bound, then on a * b - b * a for random degree-bounded pairs; returns
     one check record per evaluation.
     """
-    if bound < 0 or pairs < 0:
-        raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
+    check_trace_sizes(bound, pairs)
     rng = rng or Random(20260809)
     checks: list[dict] = []
     for n in range(bound + 1):

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from weylbundles import acceptance, cli, numrep
+from weylbundles.grading import MAX_SIZE_BOUND
 from weylbundles.cli import main
 from weylbundles.config import PRESETS, config_from_dict, load_config, poly_from_roots, preset
 from weylbundles.expr import MAX_EXPONENT, MAX_NESTING
 from weylbundles.poly import UniPoly, frac
+from weylbundles.traces import MAX_TRACE_BOUND, MAX_TRACE_PAIRS
 
 
 def run_cli(capsys, *args):
@@ -243,6 +245,36 @@ def test_grading_check_zero_modulus_is_usage_error(capsys, option):
 @pytest.mark.parametrize("bound,pairs", [("-1", "0"), ("1", "-1")])
 def test_trace_check_negative_sizes_is_usage_error(capsys, bound, pairs):
     assert ">= 0" in usage_error(capsys, "trace-check", "--bound", bound, "--pairs", pairs)
+
+
+@pytest.mark.parametrize("bound,pairs", [
+    (str(MAX_TRACE_BOUND + 1), "1"), (str(10**9), "1"),
+    ("1", str(MAX_TRACE_PAIRS + 1)), ("1", str(10**9)),
+])
+def test_trace_check_huge_sizes_is_usage_error(capsys, bound, pairs):
+    error = usage_error(capsys, "trace-check", "--bound", bound, "--pairs", pairs)
+    assert f"bound must be <= {MAX_TRACE_BOUND} and pairs <= {MAX_TRACE_PAIRS}" in error
+
+
+def test_trace_check_at_the_ceilings(capsys):
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "trace-check",
+                               "--bound", str(MAX_TRACE_BOUND), "--pairs", str(MAX_TRACE_PAIRS))
+    assert code == 0 and records[-1]["pass"]
+    assert records[-1]["params"]["bound"] == MAX_TRACE_BOUND
+
+
+@pytest.mark.parametrize("bound", [str(MAX_SIZE_BOUND + 1), str(10**9)])
+@pytest.mark.parametrize("view", [(), ("--quotient", "2"), ("--veronese", "2")])
+def test_grading_check_huge_bound_is_usage_error(capsys, bound, view):
+    error = usage_error(capsys, "--preset", "lens(2,1,2)", "grading-check",
+                        "--degree", "1", "--bound", bound, *view)
+    assert f"size bound must be in [1, {MAX_SIZE_BOUND}]" in error
+
+
+def test_grading_check_at_the_ceiling(capsys):
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "grading-check",
+                               "--degree", "1", "--bound", str(MAX_SIZE_BOUND))
+    assert code == 0 and records[0]["found"] and records[0]["verified"]
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])

@@ -4,6 +4,7 @@ import pytest
 
 from weylbundles.config import PRESETS, preset
 from weylbundles.grading import (
+    MAX_SIZE_BOUND,
     CompositionError,
     Witness,
     _combine_into_unit,
@@ -79,6 +80,12 @@ def test_bidegree_pruning_keeps_the_verdict(name, kind):
                 for a, b, _ in w.pairs:
                     (m, d), (n, f) = mono_bidegree(a), mono_bidegree(b)
                     assert (m + n, d + f) == (0, 0)
+
+
+@pytest.mark.parametrize("bound", [0, MAX_SIZE_BOUND + 1, 10**9])
+def test_size_bound_outside_the_range_is_rejected(sphere_amb, bound):
+    with pytest.raises(ValueError, match=f"in \\[1, {MAX_SIZE_BOUND}\\]"):
+        witness_search(ambient_graded_view(sphere_amb), 1, bound)
 
 
 def test_identity_degree_gives_unit_witness(sphere_amb):

@@ -46,3 +46,28 @@ def test_benchmark_reads_coeffs_as_fractions():
     proc = subprocess.run([sys.executable, "-c", READ_COEFFS],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+COUNT_VIEW_PRODUCTS = """
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from weylbundles import grading
+from weylbundles.config import preset
+
+amb = preset("lens(2,1,2)").ambient_algebra()
+base = grading.veronese_view(grading.ambient_graded_view(amb), amb.k)
+assert grading.witness_search(grading.induced_quotient_view(base, 2), 1, 4) is not None
+assert grading.witness_search(grading.veronese_view(base, 2), 1, 8) is not None
+assert tracer.counts["grading.products"] == 62, tracer.counts
+"""
+
+
+def test_derived_views_keep_the_counted_product():
+    """The tracer swaps ``multiply`` on the plain view; views built from it keep the swap."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", COUNT_VIEW_PRODUCTS],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

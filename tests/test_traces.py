@@ -11,7 +11,13 @@ from weylbundles.connection import idempotent_trace, idempotent_trace_recursive
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
 from weylbundles.poly import UniPoly
 from weylbundles.sampling import random_unipoly
-from weylbundles.traces import CyclicTrace, chern_pairing, verify_trace
+from weylbundles.traces import (
+    MAX_TRACE_BOUND,
+    MAX_TRACE_PAIRS,
+    CyclicTrace,
+    chern_pairing,
+    verify_trace,
+)
 
 P_SPHERE = UniPoly({1: 1, 2: -1})
 
@@ -192,6 +198,15 @@ def test_verify_trace_nonzero_r():
     records = verify_trace(trace, alg, bound=2, pairs=30, rng=Random(13))
     failures = [c for c in records if not c["pass"]]
     assert records and not failures, failures[:3]
+
+
+@pytest.mark.parametrize("bound,pairs", [
+    (MAX_TRACE_BOUND + 1, 0), (10**9, 0), (0, MAX_TRACE_PAIRS + 1), (0, 10**9),
+])
+def test_verify_trace_rejects_sizes_above_the_ceilings(bound, pairs):
+    alg = GwaAlgebra(P_SPHERE, 4, 0)
+    with pytest.raises(ValueError, match="must be <="):
+        verify_trace(CyclicTrace.for_algebra(alg, 1), alg, bound=bound, pairs=pairs)
 
 
 def test_chern_pairing_examples(sphere, kleinian):
