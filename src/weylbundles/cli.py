@@ -18,13 +18,7 @@ from fractions import Fraction
 
 from . import acceptance, numrep
 from .config import PRESETS, Config, load_config, preset
-from .connection import (
-    DEFAULT_LEVEL_CAP,
-    check_connection,
-    connection_power,
-    connection_power_alt,
-    idempotent,
-)
+from .connection import check_connection, connection_power, connection_power_alt, idempotent
 from .expr import (
     AMBIENT_GENERATORS,
     GWA_GENERATORS,
@@ -35,14 +29,13 @@ from .expr import (
 )
 from .grading import (
     ambient_graded_view,
-    check_size_bound,
     induced_quotient_view,
     veronese_view,
     witness_search,
 )
 from .gwa import GwaAlgebra
 from .poly import frac
-from .traces import CyclicTrace, check_trace_sizes, chern_pairing, record_check, verify_trace
+from .traces import CyclicTrace, chern_pairing, record_check, verify_trace
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -101,9 +94,9 @@ def _cmd_mul(cfg: Config, args, out: _Reporter) -> None:
 
 def _cmd_connection(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
-    t = connection_power(amb, args.n, max_level=args.max_level)
+    t = connection_power(amb, args.n)
     ok = check_connection(t)
-    agree = t == connection_power_alt(amb, args.n, max_level=args.max_level)
+    agree = t == connection_power_alt(amb, args.n)
     out.emit({
         "command": "connection", "n": args.n,
         "pairs": [[str(l), str(r)] for l, r in t.pairs],
@@ -114,7 +107,7 @@ def _cmd_connection(cfg: Config, args, out: _Reporter) -> None:
 
 def _cmd_idempotent(cfg: Config, args, out: _Reporter) -> None:
     amb = cfg.ambient_algebra()
-    mat = idempotent(amb, args.n, max_level=args.max_level)
+    mat = idempotent(amb, args.n)
     ok = mat.is_idempotent()
     record = mat.to_json()
     record.update({"command": "idempotent", "squares_to_itself": ok, "pass": ok})
@@ -128,12 +121,11 @@ def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
         raise ValueError("no nonzero root available for the pairing")
     checks: list[dict] = []
     for zeta in zetas:
-        got = chern_pairing(amb, zeta, args.n, max_level=args.max_level)
+        got = chern_pairing(amb, zeta, args.n)
         out.emit(record_check(checks, "chern", {"n": args.n, "zeta": str(zeta)}, -args.n, got))
 
 
 def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
-    check_trace_sizes(args.bound, args.pairs)
     alg = cfg.gwa_algebra()
     zetas = [frac(args.zeta)] if args.zeta is not None else list(cfg.zetas)
     if not zetas:
@@ -151,7 +143,6 @@ def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
 
 
 def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> None:
-    check_size_bound(args.bound)
     amb = cfg.ambient_algebra()
     view = ambient_graded_view(amb)
     label = "ambient"
@@ -235,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     level = argparse.ArgumentParser(add_help=False)
     level.add_argument("--n", type=int, required=True)
-    level.add_argument("--max-level", type=int, default=DEFAULT_LEVEL_CAP,
-                       help="pair count grows as 2^|n|; raise deliberately")
 
     p = sub.add_parser("normalize", help="print the normal form of an expression")
     p.add_argument("expr")

@@ -8,6 +8,13 @@ cyclic trace computes an integer index.
 
 Degrees here are counted in Veronese units: level n means ambient degree
 n*k on the right legs and -n*k on the left legs.
+
+Two fixed caps bound the cost of a level.  The level-n tensor has 2^|n|
+pairs, so :func:`connection_power` and :func:`connection_power_alt` (and
+with them :func:`idempotent_trace` and the index pairing) take
+|n| <= MAX_LEVEL.  The idempotent matrix has 4^|n| entries and squaring it
+forms 8^|n| products, so :func:`idempotent` and :func:`module_row` take
+|n| <= MAX_IDEMPOTENT_LEVEL.  A level beyond its cap raises ValueError.
 """
 from __future__ import annotations
 
@@ -19,11 +26,10 @@ from .ambient import AmbientAlgebra, AmbientElem, project_degree_zero
 from .gwa import AlgebraMismatch, GwaElem
 from .poly import PairPoly, UniPoly, poly_divmod
 
-DEFAULT_LEVEL_CAP = 5
-
-
-class LevelCapExceeded(ValueError):
-    """Raised when a connection level would need more than 2^cap tensor pairs."""
+# the largest levels whose tensor, and whose idempotent square, take seconds
+# rather than minutes (see the module docstring for the growth of each)
+MAX_LEVEL = 7
+MAX_IDEMPOTENT_LEVEL = 5
 
 
 @dataclass(frozen=True)
@@ -135,26 +141,22 @@ def raising_connection(amb: AmbientAlgebra) -> Tensor2:
     return Tensor2(amb, ((left1, right1), (left2, right2)), (1, -1))
 
 
-def _check_level(n: int, max_level: int):
-    if abs(n) > max_level:
-        raise LevelCapExceeded(
-            f"level {n} needs 2^{abs(n)} tensor pairs; raise max_level "
-            f"(currently {max_level}) to go beyond"
-        )
+def _check_level(n: int, cap: int, base: int, what: str):
+    if abs(n) > cap:
+        raise ValueError(f"level {n} needs {base}^{abs(n)} {what}; the cap is |n| <= {cap}")
 
 
-def connection_power(amb: AmbientAlgebra, n: int,
-                     max_level: int = DEFAULT_LEVEL_CAP) -> Tensor2:
+def connection_power(amb: AmbientAlgebra, n: int) -> Tensor2:
     """The level-n tensor built by wrapping the level-one legs outside.
 
     Level 0 is 1 (x) 1; positive levels wrap the lowering tensor, negative
     levels the raising one.  The pair count doubles with each level.
     """
-    _check_level(n, max_level)
+    _check_level(n, MAX_LEVEL, 2, "tensor pairs")
     if n == 0:
         return Tensor2(amb, ((amb.one(), amb.one()),), (0, 0))
     step = lowering_connection(amb) if n > 0 else raising_connection(amb)
-    inner = connection_power(amb, n - 1 if n > 0 else n + 1, max_level)
+    inner = connection_power(amb, n - 1 if n > 0 else n + 1)
     pairs = tuple(
         (wl * left, right * wr)
         for wl, wr in step.pairs
@@ -163,18 +165,17 @@ def connection_power(amb: AmbientAlgebra, n: int,
     return Tensor2(amb, pairs, (-n, n))
 
 
-def connection_power_alt(amb: AmbientAlgebra, n: int,
-                         max_level: int = DEFAULT_LEVEL_CAP) -> Tensor2:
+def connection_power_alt(amb: AmbientAlgebra, n: int) -> Tensor2:
     """The level-n tensor built by wrapping the level-one legs inside.
 
     Equal to :func:`connection_power` as a canonical tensor; computing both
     and comparing is a consistency check on the recursion.
     """
-    _check_level(n, max_level)
+    _check_level(n, MAX_LEVEL, 2, "tensor pairs")
     if n == 0:
         return Tensor2(amb, ((amb.one(), amb.one()),), (0, 0))
     step = lowering_connection(amb) if n > 0 else raising_connection(amb)
-    inner = connection_power_alt(amb, n - 1 if n > 0 else n + 1, max_level)
+    inner = connection_power_alt(amb, n - 1 if n > 0 else n + 1)
     pairs = tuple(
         (left * wl, wr * right)
         for left, right in inner.pairs
@@ -232,14 +233,14 @@ def _row_times(row, mat) -> list[GwaElem]:
     return out
 
 
-def idempotent(amb: AmbientAlgebra, n: int,
-               max_level: int = DEFAULT_LEVEL_CAP) -> IdemMatrix:
+def idempotent(amb: AmbientAlgebra, n: int) -> IdemMatrix:
     """The idempotent presenting the level-n module over the degree-zero part.
 
     Entry (i, j) is the projection of right leg i times left leg j; the
     connection identity at level n makes the matrix square to itself.
     """
-    return _idempotent_of(amb, n, connection_power(amb, n, max_level))
+    _check_level(n, MAX_IDEMPOTENT_LEVEL, 4, "idempotent entries")
+    return _idempotent_of(amb, n, connection_power(amb, n))
 
 
 def _idempotent_of(amb: AmbientAlgebra, n: int, t: Tensor2) -> IdemMatrix:
@@ -252,15 +253,14 @@ def _idempotent_of(amb: AmbientAlgebra, n: int, t: Tensor2) -> IdemMatrix:
     return IdemMatrix(n, tuple(rows))
 
 
-def idempotent_trace(amb: AmbientAlgebra, n: int,
-                     max_level: int = DEFAULT_LEVEL_CAP) -> UniPoly:
+def idempotent_trace(amb: AmbientAlgebra, n: int) -> UniPoly:
     """Trace of the level-n idempotent as a polynomial in z = z+ z-.
 
     Computed as the sum of right-leg times left-leg diagonal products; the
     result lies in the base ring and is diagonal in z+, z-, anything else
     indicates a bug.
     """
-    t = connection_power(amb, n, max_level)
+    t = connection_power(amb, n)
     acc = amb.zero()
     for left, right in t.pairs:
         acc = acc + right * left
@@ -295,13 +295,13 @@ def idempotent_trace_recursive(amb: AmbientAlgebra, n: int) -> UniPoly:
     return e
 
 
-def module_row(amb: AmbientAlgebra, n: int, a: AmbientElem,
-               max_level: int = DEFAULT_LEVEL_CAP) -> list[GwaElem]:
+def module_row(amb: AmbientAlgebra, n: int, a: AmbientElem) -> list[GwaElem]:
     """Row vector presenting a level-n homogeneous element over B.
 
     Component j is the sum over i of (a * left_i) * E_{ij}; right-multiplying
     the row by the idempotent leaves it fixed.
     """
+    _check_level(n, MAX_IDEMPOTENT_LEVEL, 4, "idempotent entries")
     if a.alg != amb:
         raise AlgebraMismatch("element does not live in the graded algebra")
     deg = a.degree()
@@ -309,7 +309,7 @@ def module_row(amb: AmbientAlgebra, n: int, a: AmbientElem,
         deg = n * amb.k
     if deg != n * amb.k:
         raise ValueError(f"element has degree {deg}, expected {n * amb.k}")
-    t = connection_power(amb, n, max_level)
+    t = connection_power(amb, n)
     coeffs = [project_degree_zero(amb, a * left) for left, _ in t.pairs]
     return _row_times(coeffs, _idempotent_of(amb, n, t).entries)
 

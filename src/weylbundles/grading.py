@@ -206,12 +206,6 @@ def _combine_into_unit(products: list[dict], unit_key) -> Optional[dict[int, Fra
 MAX_SIZE_BOUND = 12
 
 
-def check_size_bound(size_bound: int) -> None:
-    """Raise ValueError unless 1 <= size_bound <= MAX_SIZE_BOUND."""
-    if not 1 <= size_bound <= MAX_SIZE_BOUND:
-        raise ValueError(f"size bound must be in [1, {MAX_SIZE_BOUND}], got {size_bound}")
-
-
 def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witness]:
     """Search for a strong-grading witness in degree g within the size bound.
 
@@ -221,9 +215,11 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
     nonzero bidegree, which cannot contribute to the unit, so dropping them
     keeps the verdict of the search over all pairs.  Returns None when no
     combination exists among monomials of the given size; that is not a
-    proof that none exists at larger sizes.
+    proof that none exists at larger sizes.  Raises ValueError unless
+    1 <= size_bound <= MAX_SIZE_BOUND.
     """
-    check_size_bound(size_bound)
+    if not 1 <= size_bound <= MAX_SIZE_BOUND:
+        raise ValueError(f"size bound must be in [1, {MAX_SIZE_BOUND}], got {size_bound}")
     g = view.normalize_degree(g)
     if g == 0:
         return Witness(((view.one, view.one, Fraction(1)),))

@@ -16,7 +16,7 @@ from random import Random
 from typing import Optional
 
 from .ambient import AmbientAlgebra
-from .connection import DEFAULT_LEVEL_CAP, idempotent_trace
+from .connection import idempotent_trace
 from .gwa import AlgebraMismatch, GwaAlgebra, GwaElem, commutator_closed_form
 from .poly import UniPoly, frac
 from .sampling import random_gwa_elem
@@ -118,24 +118,20 @@ MAX_TRACE_BOUND = 8
 MAX_TRACE_PAIRS = 1000
 
 
-def check_trace_sizes(bound: int, pairs: int) -> None:
-    """Raise ValueError unless 0 <= bound <= MAX_TRACE_BOUND and 0 <= pairs <= MAX_TRACE_PAIRS."""
-    if bound < 0 or pairs < 0:
-        raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
-    if bound > MAX_TRACE_BOUND or pairs > MAX_TRACE_PAIRS:
-        raise ValueError(f"bound must be <= {MAX_TRACE_BOUND} and pairs <= {MAX_TRACE_PAIRS}, "
-                         f"got {bound} and {pairs}")
-
-
 def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
                  pairs: int = 50, rng: Optional[Random] = None) -> list[dict]:
     """Check the trace property on the closed-form commutators and random pairs.
 
     Evaluates the trace on the commutator spanning set for all n, k, l up to
     the bound, then on a * b - b * a for random degree-bounded pairs; returns
-    one check record per evaluation.
+    one check record per evaluation.  Raises ValueError unless
+    0 <= bound <= MAX_TRACE_BOUND and 0 <= pairs <= MAX_TRACE_PAIRS.
     """
-    check_trace_sizes(bound, pairs)
+    if bound < 0 or pairs < 0:
+        raise ValueError(f"bound and pairs must be >= 0, got {bound} and {pairs}")
+    if bound > MAX_TRACE_BOUND or pairs > MAX_TRACE_PAIRS:
+        raise ValueError(f"bound must be <= {MAX_TRACE_BOUND} and pairs <= {MAX_TRACE_PAIRS}, "
+                         f"got {bound} and {pairs}")
     rng = rng or Random(20260809)
     checks: list[dict] = []
     for n in range(bound + 1):
@@ -152,8 +148,7 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
     return checks
 
 
-def chern_pairing(amb: AmbientAlgebra, zeta, n: int,
-                  max_level: int = DEFAULT_LEVEL_CAP) -> Fraction:
+def chern_pairing(amb: AmbientAlgebra, zeta, n: int) -> Fraction:
     """Trace of the level-n idempotent under the cyclic trace at zeta.
 
     zeta must be a nonzero root of p; the value is the integer index of the
@@ -165,4 +160,4 @@ def chern_pairing(amb: AmbientAlgebra, zeta, n: int,
     if amb.p(zeta) != 0:
         raise ValueError(f"zeta = {zeta} is not a root of the defining polynomial")
     trace = CyclicTrace(amb.q, 0, zeta)
-    return trace.on_poly(idempotent_trace(amb, n, max_level))
+    return trace.on_poly(idempotent_trace(amb, n))

@@ -6,6 +6,7 @@ from weylbundles import acceptance, cli, numrep
 from weylbundles.grading import MAX_SIZE_BOUND
 from weylbundles.cli import main
 from weylbundles.config import PRESETS, config_from_dict, load_config, poly_from_roots, preset
+from weylbundles.connection import MAX_IDEMPOTENT_LEVEL, MAX_LEVEL
 from weylbundles.expr import MAX_EXPONENT, MAX_NESTING
 from weylbundles.poly import UniPoly, frac
 from weylbundles.traces import MAX_TRACE_BOUND, MAX_TRACE_PAIRS
@@ -132,6 +133,31 @@ def test_chern_rejects_non_root(capsys):
     code, _, err = run_cli(capsys, "--preset", "sphere", "chern", "--n", "1",
                            "--zeta", "7")
     assert code == 2 and "root" in err
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("command", ["chern", "connection"])
+def test_tensor_commands_at_the_level_cap(capsys, name, command):
+    code, records, _ = run_cli(capsys, "--preset", name, command, "--n", str(MAX_LEVEL))
+    assert code == 0 and records and all(r["pass"] for r in records)
+
+
+@pytest.mark.parametrize("command,n", [
+    ("chern", MAX_LEVEL + 1), ("chern", -MAX_LEVEL - 1), ("chern", 1000),
+    ("connection", MAX_LEVEL + 1),
+    ("idempotent", MAX_IDEMPOTENT_LEVEL + 1), ("idempotent", -MAX_IDEMPOTENT_LEVEL - 1),
+])
+def test_level_beyond_the_cap_is_usage_error(capsys, command, n):
+    cap = MAX_IDEMPOTENT_LEVEL if command == "idempotent" else MAX_LEVEL
+    error = usage_error(capsys, "--preset", "kleinian-demo", command, "--n", str(n))
+    assert f"level {n} needs" in error and f"the cap is |n| <= {cap}" in error
+
+
+def test_removed_level_cap_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chern", "--n", "1", "--max-level", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_trace_check_command(capsys):
@@ -409,7 +435,7 @@ def test_internal_error_is_distinct(capsys, monkeypatch):
 
 
 def test_wrong_pairing_fails(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "chern_pairing", lambda amb, zeta, n, max_level: frac(0))
+    monkeypatch.setattr(cli, "chern_pairing", lambda amb, zeta, n: frac(0))
     code, records, _ = run_cli(capsys, "--preset", "sphere", "chern", "--n", "1")
     assert code == 1
     assert records == [{"check": "chern", "params": {"n": 1, "zeta": "1"},

@@ -5,7 +5,8 @@ import pytest
 
 from weylbundles.ambient import AmbientAlgebra, embed_degree_zero
 from weylbundles.connection import (
-    LevelCapExceeded,
+    MAX_IDEMPOTENT_LEVEL,
+    MAX_LEVEL,
     Tensor2,
     check_connection,
     connection_power,
@@ -18,6 +19,7 @@ from weylbundles.connection import (
     raising_connection,
     unit_in_degree,
 )
+from weylbundles.gwa import GwaElem
 from weylbundles.poly import UniPoly
 from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
 
@@ -77,9 +79,30 @@ def test_connection_power_checks_and_agreement(any_preset, n):
 
 def test_level_cap():
     amb = AmbientAlgebra(UniPoly({1: 1, 2: -1}), 2, 2)
-    with pytest.raises(LevelCapExceeded):
-        connection_power(amb, 6)
-    assert len(connection_power(amb, 6, max_level=6).pairs) == 64
+    for n in (MAX_LEVEL + 1, -MAX_LEVEL - 1):
+        with pytest.raises(ValueError, match=f"level {n} needs 2\\^{MAX_LEVEL + 1} tensor pairs"):
+            connection_power(amb, n)
+        with pytest.raises(ValueError, match=f"the cap is \\|n\\| <= {MAX_LEVEL}"):
+            connection_power_alt(amb, n)
+    assert len(connection_power(amb, MAX_LEVEL).pairs) == 2**MAX_LEVEL
+
+
+def test_idempotent_level_cap_before_any_product(sphere_amb, monkeypatch):
+    amb = sphere_amb
+    n = MAX_IDEMPOTENT_LEVEL + 1
+    a = amb.z_plus() ** (n * amb.k)
+
+    def no_product(*args):
+        raise AssertionError("a product was formed before the level cap was checked")
+
+    monkeypatch.setattr(GwaElem, "__mul__", no_product)
+    match = f"the cap is \\|n\\| <= {MAX_IDEMPOTENT_LEVEL}"
+    with pytest.raises(ValueError, match=match):
+        idempotent(amb, n)
+    with pytest.raises(ValueError, match=match):
+        idempotent(amb, -n)
+    with pytest.raises(ValueError, match=match):
+        module_row(amb, n, a)
 
 
 def test_check_connection_counterexample(sphere_amb):

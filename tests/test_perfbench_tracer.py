@@ -71,3 +71,28 @@ def test_derived_views_keep_the_counted_product():
     proc = subprocess.run([sys.executable, "-c", COUNT_VIEW_PRODUCTS],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+COUNT_TENSOR_PAIRS = """
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from weylbundles import connection, traces
+from weylbundles.config import preset
+
+amb = preset("kleinian-demo").ambient_algebra()
+connection.connection_power(amb, 3)
+connection.connection_power_alt(amb, -2)
+traces.chern_pairing(amb, 2, 2)
+assert tracer.counts["connection.tensor_pairs"] == 29, tracer.counts
+"""
+
+
+def test_tracer_reads_the_level_by_position():
+    """The ``power`` hooks read ``(amb, n)`` from the positional arguments of each call."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", COUNT_TENSOR_PAIRS],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -236,7 +236,7 @@ def test_deep_pairing_on_recursive_traces(name):
     cfg = preset(name)
     amb = cfg.ambient_algebra()
     for n in (5, 6, 7):
-        assert idempotent_trace(amb, n, max_level=7) == idempotent_trace_recursive(amb, n)
+        assert idempotent_trace(amb, n) == idempotent_trace_recursive(amb, n)
     for n in (10, 20, 30, 40):
         e = idempotent_trace_recursive(amb, n)
         for zeta in cfg.nonzero_zetas():
