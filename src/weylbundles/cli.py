@@ -19,14 +19,7 @@ from fractions import Fraction
 from . import acceptance, numrep
 from .config import PRESETS, Config, load_config, preset
 from .connection import check_connection, connection_power, connection_power_alt, idempotent
-from .expr import (
-    AMBIENT_GENERATORS,
-    GWA_GENERATORS,
-    ParseError,
-    evaluate,
-    gens_used,
-    parse,
-)
+from .expr import AMBIENT_GENERATORS, GWA_GENERATORS, ParseError, generators, parse
 from .grading import (
     ambient_graded_view,
     induced_quotient_view,
@@ -61,19 +54,18 @@ class _Reporter:
 
 
 def _eval_element(cfg: Config, text: str):
-    node = parse(text)
-    used = gens_used(node)
+    used = generators(text)
     if used <= set(GWA_GENERATORS):
         alg = cfg.gwa_algebra()
         atoms = {"x": alg.x(), "y": alg.y(), "z": alg.z()}
-        return "gwa", evaluate(node, atoms, alg.from_scalar)
+        return "gwa", parse(text, atoms, alg.from_scalar)
     if used <= set(AMBIENT_GENERATORS):
         amb = cfg.ambient_algebra()
         atoms = {
             "xp": amb.x_plus(), "xm": amb.x_minus(),
             "zp": amb.z_plus(), "zm": amb.z_minus(),
         }
-        return "ambient", evaluate(node, atoms, lambda c: amb.one() * c)
+        return "ambient", parse(text, atoms, lambda c: amb.one() * c)
     raise ParseError(f"mixed or unknown generators: {sorted(used)}", 0)
 
 
@@ -213,8 +205,16 @@ def _cmd_verify_all(cfg: None, args, out: _Reporter) -> None:
     out.emit({"command": "verify-all", "pass": not out.failed})
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line like any other usage error; subparsers
+    are made of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="weylbundles",
         description="Exact verification of graded algebra and index-pairing identities",
     )
@@ -288,9 +288,9 @@ def _config(args) -> Config | None:
 
 def main(argv=None) -> int:
     """Run one command; the only place an exit code is chosen."""
-    args = build_parser().parse_args(argv)
-    out = _Reporter(args.text)
     try:
+        args = build_parser().parse_args(argv)
+        out = _Reporter(args.text)
         args.func(_config(args), args, out)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Parser and evaluator for algebra element expressions.
+"""Parser for algebra element expressions that evaluates as it parses.
 
 Grammar (whitespace insensitive)::
 
@@ -8,15 +8,17 @@ Grammar (whitespace insensitive)::
     atom   := rational | generator | '(' expr ')'
 
 Rationals are single tokens like ``3`` or ``3/4`` (there is no division
-operator), exponents are integers from 0 to ``MAX_EXPONENT``, and generators
-are named tokens resolved at evaluation time.  The optional leading minus
-makes the canonical printed forms of elements parse back.  Parentheses nest
-at most ``MAX_NESTING`` deep; the parser and evaluator recurse once per level.
+operator), and generators are named tokens looked up in the caller's atoms.
+The optional leading minus makes the canonical printed forms of elements
+parse back.  One pass over the tokens builds the element, left to right;
+parentheses nest at most ``MAX_NESTING`` deep, one recursion per level.
+Exponents are integers from 0 to ``MAX_EXPONENT``, and so is their product
+along each chain of nested powers above a generator (a number counts 0):
+``((1+z)^8)^8`` parses, ``((1+z)^8)^9`` is refused before the power is formed.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -31,33 +33,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-
-
-@dataclass(frozen=True)
-class Sum:
-    # (sign, node) with sign +1 or -1
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([a-zA-Z]+)|(.))")
@@ -83,11 +58,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def generators(text: str) -> set[str]:
+    """The generator names in ``text``, read from its tokens alone."""
+    return {value for kind, value, _ in _tokenize(text) if kind == "name"}
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, atoms: Mapping[str, object],
+                 scalar: Callable[[Fraction], object]):
         self.tokens = _tokenize(text)
+        self.atoms = atoms
+        self.scalar = scalar
         self.i = 0
         self.depth = 0
+        # the largest product of exponents on a path down to a generator
+        # within the factor being read (a generator alone counts 1)
+        self.weight = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -97,58 +83,60 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take(self, symbols: str) -> str | None:
+        """Consume the next token if it is one of ``symbols`` and return it."""
+        kind, value, _ = self.peek()
+        if kind == "sym" and value in symbols:
+            self.i += 1
+            return value
+        return None
+
     def expect_sym(self, symbol: str):
         kind, value, pos = self.next()
         if kind != "sym" or value != symbol:
             raise ParseError(f"expected '{symbol}'", pos)
 
     def parse_expr(self):
-        terms = []
-        kind, value, _ = self.peek()
-        sign = 1
-        if kind == "sym" and value == "-":
-            self.next()
-            sign = -1
-        terms.append((sign, self.parse_term()))
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value in "+-":
-                self.next()
-                terms.append((1 if value == "+" else -1, self.parse_term()))
-            else:
-                break
-        return Sum(tuple(terms))
+        out = -self.parse_term() if self.take("-") else self.parse_term()
+        while op := self.take("+-"):
+            term = self.parse_term()
+            out = out + term if op == "+" else out - term
+        return out
 
     def parse_term(self):
-        factors = [self.parse_factor()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value == "*":
-                self.next()
-                factors.append(self.parse_factor())
-            else:
-                break
-        return Prod(tuple(factors))
+        out = self.parse_factor()
+        while self.take("*"):
+            out = out * self.parse_factor()
+        return out
 
     def parse_factor(self):
+        outer, self.weight = self.weight, 0
         base = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "sym" and value == "^":
-            self.next()
+        exp = 1
+        if self.take("^"):
             kind, value, pos = self.next()
             if kind != "num" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer", pos)
-            if int(value) > MAX_EXPONENT:
+            exp = int(value)
+            if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
-            return Pow(base, int(value))
+            if self.weight * exp > MAX_EXPONENT:
+                raise ParseError(f"nested exponents multiply to {self.weight * exp}, "
+                                 f"larger than {MAX_EXPONENT}", pos)
+            base = base ** exp
+        self.weight = max(outer, self.weight * exp)
         return base
 
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return Num(Fraction(value))
+            return self.scalar(Fraction(value))
         if kind == "name":
-            return Gen(value)
+            self.weight = 1
+            try:
+                return self.atoms[value]
+            except KeyError:
+                raise ParseError(f"unknown generator {value!r}", pos) from None
         if kind == "sym" and value == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -160,53 +148,12 @@ class _Parser:
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse(text: str):
-    """Parse an expression; raises :class:`ParseError` with the position."""
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    kind, value, pos = parser.peek()
+def parse(text: str, atoms: Mapping[str, object], scalar: Callable[[Fraction], object]):
+    """Evaluate an expression in any algebra given its generators and scalars;
+    raises :class:`ParseError` with the position."""
+    parser = _Parser(text, atoms, scalar)
+    value = parser.parse_expr()
+    kind, rest, pos = parser.peek()
     if kind != "end":
-        raise ParseError(f"unexpected trailing {value!r}", pos)
-    return node
-
-
-def gens_used(node) -> set[str]:
-    if isinstance(node, Gen):
-        return {node.name}
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Pow):
-        return gens_used(node.base)
-    if isinstance(node, Sum):
-        return set().union(*(gens_used(t) for _, t in node.terms)) if node.terms else set()
-    if isinstance(node, Prod):
-        return set().union(*(gens_used(f) for f in node.factors)) if node.factors else set()
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def evaluate(node, atoms: Mapping[str, object], scalar: Callable[[Fraction], object]):
-    """Fold an expression into any algebra given its generators and scalars."""
-    if isinstance(node, Num):
-        return scalar(node.value)
-    if isinstance(node, Gen):
-        try:
-            return atoms[node.name]
-        except KeyError:
-            raise ParseError(f"unknown generator {node.name!r}", 0) from None
-    if isinstance(node, Pow):
-        return evaluate(node.base, atoms, scalar) ** node.exp
-    if isinstance(node, Prod):
-        out = None
-        for factor in node.factors:
-            value = evaluate(factor, atoms, scalar)
-            out = value if out is None else out * value
-        return out
-    if isinstance(node, Sum):
-        out = None
-        for sign, term in node.terms:
-            value = evaluate(term, atoms, scalar)
-            if sign < 0:
-                value = -value
-            out = value if out is None else out + value
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+        raise ParseError(f"unexpected trailing {rest!r}", pos)
+    return value

@@ -92,6 +92,10 @@ def test_normalize_mixed_generators_is_usage_error(capsys):
     assert code == 2 and "generators" in err
 
 
+def test_mixed_generators_are_named_before_syntax_errors(capsys):
+    assert "mixed or unknown generators: ['x', 'xp']" in usage_error(capsys, "normalize", "x*xp +")
+
+
 def test_mul(capsys):
     code, records, _ = run_cli(capsys, "--preset", "sphere", "mul", "z", "x")
     assert code == 0
@@ -154,10 +158,24 @@ def test_level_beyond_the_cap_is_usage_error(capsys, command, n):
 
 
 def test_removed_level_cap_flag_is_usage_error(capsys):
+    error = usage_error(capsys, "chern", "--n", "1", "--max-level", "5")
+    assert "unrecognized arguments: --max-level 5" in error
+
+
+@pytest.mark.parametrize("args,message", [
+    (("chern", "--n", "x"), "argument --n: invalid int value: 'x'"),
+    (("chern", "--n", "1", "--bogus"), "unrecognized arguments: --bogus"),
+    (("nosuchcmd",), "invalid choice: 'nosuchcmd'"),
+    (("normalize",), "the following arguments are required: expr"),
+])
+def test_bad_command_line_is_usage_error(capsys, args, message):
+    assert message in usage_error(capsys, *args)
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["chern", "--n", "1", "--max-level", "5"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: weylbundles" in capsys.readouterr().out
 
 
 def test_trace_check_command(capsys):
@@ -317,6 +335,20 @@ def test_large_exponent_is_usage_error(capsys, text):
 def test_exponent_up_to_the_limit_normalizes(capsys):
     code, records, _ = run_cli(capsys, "normalize", f"z^{MAX_EXPONENT}")
     assert code == 0 and records[0]["result"] == f"(z^{MAX_EXPONENT})"
+
+
+@pytest.mark.parametrize("text", ["((1+z)^8)^9", "(((1+z)^64)^64)^64"])
+def test_nested_exponents_beyond_the_limit_are_usage_errors(capsys, text):
+    assert f"larger than {MAX_EXPONENT}" in usage_error(capsys, "normalize", text)
+
+
+@pytest.mark.parametrize("text,result", [
+    ("((1+z)^8)^8", "(1 + 64*z + 2016*z^2"),
+    ("(x^2*y)^3", "x^3*(z^3 - 21/4*z^4 + 21/4*z^5 - z^6)"),
+])
+def test_nested_exponents_up_to_the_limit_normalize(capsys, text, result):
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "normalize", text)
+    assert code == 0 and records[0]["result"].startswith(result)
 
 
 def degree_source(tmp_path, source):

@@ -1,4 +1,7 @@
+import importlib.util
+import re
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,73 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylbundles.config import preset
-from weylbundles.expr import (
-    Gen,
-    Num,
-    ParseError,
-    Pow,
-    Prod,
-    Sum,
-    evaluate,
-    gens_used,
-    parse,
-)
+from weylbundles.expr import MAX_EXPONENT, ParseError, generators, parse
 from weylbundles.sampling import random_amb_elem, random_gwa_elem
-
-
-def test_parse_product():
-    node = parse("y*x")
-    assert node == Sum(((1, Prod((Gen("y"), Gen("x")))),))
-
-
-def test_parse_power_and_scaled_sum():
-    node = parse("x^2*(1 - 3/2*z)")
-    (sign, term), = node.terms
-    assert sign == 1
-    power, inner = term.factors
-    assert power == Pow(Gen("x"), 2)
-    (s1, t1), (s2, t2) = inner.terms
-    assert (s1, t1) == (1, Prod((Num(Fraction(1)),)))
-    assert s2 == -1 and t2 == Prod((Num(Fraction(3, 2)), Gen("z")))
-
-
-def test_whitespace_insensitive():
-    assert parse(" y * x ") == parse("y*x")
-
-
-def test_leading_minus_allowed():
-    assert parse("-z + 1") == Sum(((-1, Prod((Gen("z"),))), (1, Prod((Num(Fraction(1)),)))))
-
-
-@pytest.mark.parametrize("bad", ["x^-1", "x*", "(x", "x +", "", "x^1/2", "3//4"])
-def test_syntax_errors(bad):
-    with pytest.raises(ParseError):
-        parse(bad)
-
-
-def test_error_carries_position():
-    with pytest.raises(ParseError) as err:
-        parse("x + %")
-    assert "position" in str(err.value)
-
-
-def test_gens_used():
-    assert gens_used(parse("x^2*(1 - 3/2*z) + y")) == {"x", "y", "z"}
-    assert gens_used(parse("3/4")) == set()
-
-
-def test_evaluate_in_gwa(sphere_gwa):
-    alg = sphere_gwa
-    atoms = {"x": alg.x(), "y": alg.y(), "z": alg.z()}
-    node = parse("y*x")
-    assert evaluate(node, atoms, alg.from_scalar) == alg.from_poly(alg.p)
-    assert evaluate(parse("x^0"), atoms, alg.from_scalar) == alg.one()
-
-
-def test_evaluate_unknown_generator(sphere_gwa):
-    alg = sphere_gwa
-    with pytest.raises(ParseError, match="unknown generator"):
-        evaluate(parse("w + x"), {"x": alg.x()}, alg.from_scalar)
 
 
 def _gwa_atoms(alg):
@@ -84,13 +22,83 @@ def _amb_atoms(amb):
             "zp": amb.z_plus(), "zm": amb.z_minus()}
 
 
-def test_print_parse_roundtrip_gwa(sphere_gwa):
-    rng = Random(21)
+@pytest.fixture
+def gwa_parse(sphere_gwa):
     atoms = _gwa_atoms(sphere_gwa)
+    return lambda text: parse(text, atoms, sphere_gwa.from_scalar)
+
+
+def test_parse_product(sphere_gwa, gwa_parse):
+    alg = sphere_gwa
+    assert gwa_parse("y*x") == alg.y() * alg.x()
+    assert gwa_parse("y*x") != gwa_parse("x*y")
+
+
+def test_parse_power_and_scaled_sum(sphere_gwa, gwa_parse):
+    alg = sphere_gwa
+    expected = alg.x() ** 2 * (alg.one() - alg.z() * Fraction(3, 2))
+    assert gwa_parse("x^2*(1 - 3/2*z)") == expected
+
+
+def test_whitespace_insensitive(gwa_parse):
+    assert gwa_parse(" y * x ") == gwa_parse("y*x")
+
+
+def test_leading_minus_allowed(sphere_gwa, gwa_parse):
+    assert gwa_parse("-z + 1") == sphere_gwa.one() - sphere_gwa.z()
+
+
+@pytest.mark.parametrize("bad", ["x^-1", "x*", "(x", "x +", "", "x^1/2", "3//4"])
+def test_syntax_errors(gwa_parse, bad):
+    with pytest.raises(ParseError):
+        gwa_parse(bad)
+
+
+def test_error_carries_position(gwa_parse):
+    with pytest.raises(ParseError) as err:
+        gwa_parse("x + %")
+    assert err.value.position == 4 and "position 4" in str(err.value)
+
+
+def test_generators():
+    assert generators("x^2*(1 - 3/2*z) + y") == {"x", "y", "z"}
+    assert generators("3/4") == set()
+    assert generators("x*xp +") == {"x", "xp"}
+
+
+def test_parse_in_gwa(sphere_gwa, gwa_parse):
+    assert gwa_parse("y*x") == sphere_gwa.from_poly(sphere_gwa.p)
+    assert gwa_parse("x^0") == sphere_gwa.one()
+
+
+def test_parse_unknown_generator(sphere_gwa):
+    alg = sphere_gwa
+    with pytest.raises(ParseError, match="unknown generator 'w'") as err:
+        parse("x + w", {"x": alg.x()}, alg.from_scalar)
+    assert err.value.position == 4
+
+
+def test_numbers_and_zero_powers_count_zero(sphere_gwa, gwa_parse):
+    alg = sphere_gwa
+    assert gwa_parse("((2^64)^64*x)^64") == alg.x() ** 64 * 2 ** (64 ** 3)
+    assert gwa_parse("(x^0)^64") == alg.one()
+
+
+@pytest.mark.parametrize("text,product,position", [
+    ("((1+z)^8)^9", 72, 10), ("(((1+z)^64)^64)^64", 4096, 12), ("(x^32*3)^3", 96, 9),
+])
+def test_nested_exponents_beyond_the_limit(gwa_parse, text, product, position):
+    with pytest.raises(ParseError) as err:
+        gwa_parse(text)
+    assert f"nested exponents multiply to {product}, larger than {MAX_EXPONENT}" in str(err.value)
+    assert err.value.position == position
+
+
+def test_print_parse_roundtrip_gwa(sphere_gwa, gwa_parse):
+    rng = Random(21)
     for _ in range(40):
         e = random_gwa_elem(sphere_gwa, rng)
-        back = evaluate(parse(str(e)), atoms, sphere_gwa.from_scalar)
-        assert back == e, str(e)
+        assert gwa_parse(str(e)) == e, str(e)
 
 
 def test_print_parse_roundtrip_ambient(kleinian):
@@ -99,7 +107,7 @@ def test_print_parse_roundtrip_ambient(kleinian):
     atoms = _amb_atoms(amb)
     for _ in range(40):
         e = random_amb_elem(amb, rng)
-        back = evaluate(parse(str(e)), atoms, lambda c: amb.one() * c)
+        back = parse(str(e), atoms, lambda c: amb.one() * c)
         assert back == e, str(e)
 
 
@@ -116,5 +124,71 @@ def test_roundtrip_property(terms):
 
     alg = preset("sphere").gwa_algebra()
     e = alg.elem({d: UniPoly(cs) for d, cs in terms.items()})
-    back = evaluate(parse(str(e)), _gwa_atoms(alg), alg.from_scalar)
-    assert back == e
+    assert parse(str(e), _gwa_atoms(alg), alg.from_scalar) == e
+
+
+# -- differential: the parser against Python's own evaluation ------------
+
+_RATIONAL = re.compile(r"(?<![\^\d/])(\d+(?:/\d+)?)")
+
+
+def python_eval(text: str, names: dict, scalar):
+    """Evaluate ``text`` with Python's operators: ``^`` becomes ``**`` and
+    each rational token (not an exponent) becomes ``scalar(Fraction(...))``."""
+    code = _RATIONAL.sub(r"S(Fraction('\1'))", text).replace("^", "**")
+    return eval(code, {"__builtins__": {}}, {**names, "Fraction": Fraction, "S": scalar})
+
+
+def expressions(depth: int = 2):
+    """Grammar-drawn text; exponents up to 3 in at most three nested levels."""
+    rationals = st.builds(lambda n, d: f"{n}" if d == 1 else f"{n}/{d}",
+                          st.integers(0, 9), st.integers(1, 4))
+    atoms = rationals | st.sampled_from(("x", "y", "z"))
+    if depth:
+        atoms = atoms | expressions(depth - 1).map(lambda e: f"({e})")
+    factors = st.tuples(atoms, st.none() | st.integers(0, 3)).map(
+        lambda ae: ae[0] if ae[1] is None else f"{ae[0]}^{ae[1]}")
+    terms = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    return st.builds(
+        lambda lead, first, rest, space: space.join(
+            [lead + first] + [f"{op} {t}" for op, t in rest]),
+        st.sampled_from(("", "-")), terms,
+        st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=3),
+        st.sampled_from(("", " ")),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions())
+def test_parse_matches_python_in_the_gwa(text):
+    alg = preset("sphere").gwa_algebra()
+    atoms = _gwa_atoms(alg)
+    assert parse(text, atoms, alg.from_scalar) == python_eval(text, atoms, alg.from_scalar), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions(), st.fractions(-3, 3, max_denominator=4),
+       st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4))
+def test_parse_matches_python_on_rationals(text, x, y, z):
+    atoms = {"x": x, "y": y, "z": z}
+    assert parse(text, atoms, Fraction) == python_eval(text, atoms, Fraction), text
+
+
+def _bench_random_expr():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._random_expr
+
+
+@pytest.mark.parametrize("name", ["sphere", "kleinian-demo"])
+def test_parse_matches_python_on_bench_expressions(name):
+    """The random expressions of the benchmark's single-shot CLI calls."""
+    random_expr = _bench_random_expr()
+    alg = preset(name).gwa_algebra()
+    atoms = _gwa_atoms(alg)
+    rng = Random(1)
+    for _ in range(30):
+        text = random_expr(rng)
+        assert parse(text, atoms, alg.from_scalar) == python_eval(text, atoms, alg.from_scalar), text
