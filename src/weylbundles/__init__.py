@@ -50,7 +50,7 @@ from .poly import (
     poly_divmod,
     tail_decompose,
 )
-from .traces import CyclicTrace, chern_pairing, verify_trace
+from .traces import CyclicTrace, chern_pairing, chern_pairings, verify_trace
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,7 @@ __all__ = [
     "Config", "CyclicTrace", "GradedView", "GwaAlgebra", "GwaElem",
     "IdemMatrix", "PairPoly", "Tensor2", "UniPoly", "Witness",
     "ambient_graded_view", "auto_shift_product",
-    "check_connection", "chern_pairing", "commutator",
+    "check_connection", "chern_pairing", "chern_pairings", "commutator",
     "commutator_closed_form", "compose_witnesses", "connection_power",
     "connection_power_alt", "embed_degree_zero", "factor_zero_root", "frac",
     "idempotent", "idempotent_trace", "idempotent_trace_recursive",

@@ -28,7 +28,7 @@ from .grading import (
 )
 from .gwa import GwaAlgebra
 from .poly import frac
-from .traces import CyclicTrace, chern_pairing, record_check, verify_trace
+from .traces import CyclicTrace, chern_pairings, record_check, verify_trace
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -112,8 +112,7 @@ def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
     if not zetas:
         raise ValueError("no nonzero root available for the pairing")
     checks: list[dict] = []
-    for zeta in zetas:
-        got = chern_pairing(amb, zeta, args.n)
+    for zeta, got in zip(zetas, chern_pairings(amb, zetas, args.n)):
         out.emit(record_check(checks, "chern", {"n": args.n, "zeta": str(zeta)}, -args.n, got))
 
 

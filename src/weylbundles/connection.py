@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .ambient import AmbientAlgebra, AmbientElem, project_degree_zero
 from .gwa import AlgebraMismatch, GwaElem
-from .poly import PairPoly, UniPoly, poly_divmod
+from .poly import PairPoly, UniPoly, _integer_terms, poly_divmod
 
 # the largest levels whose tensor, and whose idempotent square, take seconds
 # rather than minutes (see the module docstring for the growth of each)
@@ -272,11 +273,17 @@ def idempotent_trace(amb: AmbientAlgebra, n: int) -> UniPoly:
 def idempotent_trace_recursive(amb: AmbientAlgebra, n: int) -> UniPoly:
     """The trace polynomial by pure polynomial recursion, levels n >= 1.
 
-    With pt(0)^k =: c, h the tail of pt and q the grading parameter:
+    With c = pt(0)^k, h the tail of pt and q the grading parameter, put
 
-        e_1(z)    = (q^k h(qz)^k - h(z)^k) z^k / c + 1,
-        e_{m+1}(z) = ((c - h(z)^k z^k) e_m(z/q)
-                      - (c - q^k h(qz)^k z^k) e_m(z)) / c + e_m(z).
+        A(z) = 1 - h(z)^k z^k / c,    B(z) = q^k h(qz)^k z^k / c.
+
+    Then e_0 = 1 and e_{m+1}(z) = A(z) e_m(z/q) + B(z) e_m(z), so that
+    e_1 = A + B.  The levels run fraction-free: e_m is kept as integer
+    numerators N_d over one denominator den.  With q = qn/qd and top the
+    highest index kept, e_m(z/q) and e_m both lie over den * qn^top, with
+    numerators N_d qd^d qn^(top-d) and N_d qn^top; one pass convolves them
+    with the fixed integer numerators of A and B.  Only the result is
+    normalized, one ``Fraction`` per coefficient.
 
     Independent of the tensor machinery; serves as its oracle.
     """
@@ -284,15 +291,27 @@ def idempotent_trace_recursive(amb: AmbientAlgebra, n: int) -> UniPoly:
         raise ValueError("recursive trace is defined for n >= 1")
     k = amb.k
     c = amb.p_reduced.constant_term**k
-    h = amb.p_tail
-    h_q = h.compose_linear(amb.q, 0)
-    zk = UniPoly({k: 1})
-    e = (h_q**k * amb.q**k - h**k) * zk * (1 / c) + UniPoly.one()
-    low = UniPoly.constant(c) - h**k * zk
-    high = UniPoly.constant(c) - h_q**k * zk * amb.q**k
-    for _ in range(n - 1):
-        e = (low * e.compose_linear(1 / amb.q, 0) - high * e) * (1 / c) + e
-    return e
+    hz = amb.p_tail**k * UniPoly({k: 1 / c})
+    a_terms, a_den = _integer_terms((UniPoly.one() - hz).coeffs)
+    b_terms, b_den = _integer_terms(hz.compose_linear(amb.q, 0).coeffs)
+    ab_den = lcm(a_den, b_den)
+    a_terms = [(i, v * (ab_den // a_den)) for i, v in a_terms]
+    b_terms = [(i, v * (ab_den // b_den)) for i, v in b_terms]
+    width = max(i for i, _ in a_terms + b_terms) + 1
+    qn, qd = amb.q.numerator, amb.q.denominator
+    nums, den = [1], 1
+    for _ in range(n):
+        top = len(nums) - 1
+        b_level = [(i, w * qn**top) for i, w in b_terms]
+        out = [0] * (top + width)
+        for d, v in enumerate(nums):
+            shifted = v * (qd**d * qn ** (top - d))
+            for i, w in a_terms:
+                out[i + d] += w * shifted
+            for i, w in b_level:
+                out[i + d] += w * v
+        nums, den = out, den * qn**top * ab_den
+    return UniPoly({d: Fraction(v, den) for d, v in enumerate(nums) if v})
 
 
 def module_row(amb: AmbientAlgebra, n: int, a: AmbientElem) -> list[GwaElem]:

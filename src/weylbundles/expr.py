@@ -12,12 +12,17 @@ operator), and generators are named tokens looked up in the caller's atoms.
 The optional leading minus makes the canonical printed forms of elements
 parse back.  One pass over the tokens builds the element, left to right;
 parentheses nest at most ``MAX_NESTING`` deep, one recursion per level.
+Parts without a generator stay ``Fraction`` until they meet an element.
 Exponents are integers from 0 to ``MAX_EXPONENT``, and so is their product
 along each chain of nested powers above a generator (a number counts 0):
 ``((1+z)^8)^8`` parses, ``((1+z)^8)^9`` is refused before the power is formed.
+A power of a number may have at most ``MAX_SCALAR_BITS`` bits, counted as the
+exponent times the bit length of the base, also before it is formed:
+``(2^64)^64`` parses, ``((2^64)^64)^64`` is refused.
 """
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -27,6 +32,9 @@ from .poly import MAX_EXPONENT
 GWA_GENERATORS = ("x", "y", "z")
 AMBIENT_GENERATORS = ("xp", "xm", "zp", "zm")
 MAX_NESTING = 100
+# the most bits a power of a number may have: 8192 bits print in 2467 digits,
+# within Python's limit of 4300 digits for converting an int to a string
+MAX_SCALAR_BITS = 8192
 
 
 class ParseError(ValueError):
@@ -91,6 +99,15 @@ class _Parser:
             return value
         return None
 
+    def combine(self, op, a, b):
+        """``op(a, b)``: in ``Fraction`` while both are numbers, else in the algebra."""
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            a, b = self.lift(a), self.lift(b)
+        return op(a, b)
+
+    def lift(self, value):
+        return self.scalar(value) if isinstance(value, Fraction) else value
+
     def expect_sym(self, symbol: str):
         kind, value, pos = self.next()
         if kind != "sym" or value != symbol:
@@ -99,14 +116,14 @@ class _Parser:
     def parse_expr(self):
         out = -self.parse_term() if self.take("-") else self.parse_term()
         while op := self.take("+-"):
-            term = self.parse_term()
-            out = out + term if op == "+" else out - term
+            out = self.combine(operator.add if op == "+" else operator.sub,
+                               out, self.parse_term())
         return out
 
     def parse_term(self):
         out = self.parse_factor()
         while self.take("*"):
-            out = out * self.parse_factor()
+            out = self.combine(operator.mul, out, self.parse_factor())
         return out
 
     def parse_factor(self):
@@ -123,6 +140,11 @@ class _Parser:
             if self.weight * exp > MAX_EXPONENT:
                 raise ParseError(f"nested exponents multiply to {self.weight * exp}, "
                                  f"larger than {MAX_EXPONENT}", pos)
+            if isinstance(base, Fraction):
+                bits = exp * max(base.numerator.bit_length(), base.denominator.bit_length())
+                if bits > MAX_SCALAR_BITS:
+                    raise ParseError(f"power of a number with up to {bits} bits, "
+                                     f"more than {MAX_SCALAR_BITS}", pos)
             base = base ** exp
         self.weight = max(outer, self.weight * exp)
         return base
@@ -130,7 +152,7 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return self.scalar(Fraction(value))
+            return Fraction(value)
         if kind == "name":
             self.weight = 1
             try:
@@ -156,4 +178,4 @@ def parse(text: str, atoms: Mapping[str, object], scalar: Callable[[Fraction], o
     kind, rest, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {rest!r}", pos)
-    return value
+    return parser.lift(value)

@@ -148,16 +148,23 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
     return checks
 
 
-def chern_pairing(amb: AmbientAlgebra, zeta, n: int) -> Fraction:
-    """Trace of the level-n idempotent under the cyclic trace at zeta.
+def chern_pairings(amb: AmbientAlgebra, zetas, n: int) -> list[Fraction]:
+    """Trace of the level-n idempotent under the cyclic trace at each zeta.
 
-    zeta must be a nonzero root of p; the value is the integer index of the
-    level-n module (equal to -n).
+    Every zeta must be a nonzero root of p, and all are checked before the
+    level-n trace polynomial is built, once for all of them.  Each value is
+    the integer index of the level-n module (equal to -n).
     """
-    zeta = frac(zeta)
-    if zeta == 0:
-        raise ValueError("the pairing needs a nonzero root of p")
-    if amb.p(zeta) != 0:
-        raise ValueError(f"zeta = {zeta} is not a root of the defining polynomial")
-    trace = CyclicTrace(amb.q, 0, zeta)
-    return trace.on_poly(idempotent_trace(amb, n))
+    zetas = [frac(zeta) for zeta in zetas]
+    for zeta in zetas:
+        if zeta == 0:
+            raise ValueError("the pairing needs a nonzero root of p")
+        if amb.p(zeta) != 0:
+            raise ValueError(f"zeta = {zeta} is not a root of the defining polynomial")
+    e = idempotent_trace(amb, n)
+    return [CyclicTrace(amb.q, 0, zeta).on_poly(e) for zeta in zetas]
+
+
+def chern_pairing(amb: AmbientAlgebra, zeta, n: int) -> Fraction:
+    """The one-root case of :func:`chern_pairings`."""
+    return chern_pairings(amb, [zeta], n)[0]

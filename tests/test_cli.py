@@ -351,6 +351,15 @@ def test_nested_exponents_up_to_the_limit_normalize(capsys, text, result):
     assert code == 0 and records[0]["result"].startswith(result)
 
 
+def test_scalar_power_beyond_the_bit_bound_is_usage_error(capsys):
+    assert "more than 8192 (at position 12)" in usage_error(capsys, "normalize", "((2^64)^64)^64")
+
+
+def test_scalar_power_within_the_bit_bound_normalizes(capsys):
+    code, records, _ = run_cli(capsys, "normalize", "(2^64)^64")
+    assert code == 0 and records[0]["result"] == f"({2 ** 4096})"
+
+
 def degree_source(tmp_path, source):
     kind, value = source
     if kind == "--preset":
@@ -467,7 +476,7 @@ def test_internal_error_is_distinct(capsys, monkeypatch):
 
 
 def test_wrong_pairing_fails(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "chern_pairing", lambda amb, zeta, n: frac(0))
+    monkeypatch.setattr(cli, "chern_pairings", lambda amb, zetas, n: [frac(0)] * len(zetas))
     code, records, _ = run_cli(capsys, "--preset", "sphere", "chern", "--n", "1")
     assert code == 1
     assert records == [{"check": "chern", "params": {"n": 1, "zeta": "1"},

@@ -19,6 +19,7 @@ from weylbundles.connection import (
     raising_connection,
     unit_in_degree,
 )
+from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import GwaElem
 from weylbundles.poly import UniPoly
 from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
@@ -271,3 +272,83 @@ def test_unit_in_degree_generic_none(sphere_amb):
     assert unit_in_degree(sphere_amb, 1) is None
     assert unit_in_degree(sphere_amb, -2) is None
     assert unit_in_degree(sphere_amb, 0) is not None
+
+
+# -- the recursive trace against its earlier two-polynomial form ----------
+
+def trace_levels_reference(amb, top):
+    """[e_1, ..., e_top] by the earlier form of the recursion, with c = pt(0)^k:
+
+        e_1(z)     = (q^k h(qz)^k - h(z)^k) z^k / c + 1,
+        e_{m+1}(z) = ((c - h(z)^k z^k) e_m(z/q)
+                      - (c - q^k h(qz)^k z^k) e_m(z)) / c + e_m(z).
+    """
+    k = amb.k
+    c = amb.p_reduced.constant_term**k
+    h = amb.p_tail
+    h_q = h.compose_linear(amb.q, 0)
+    zk = UniPoly({k: 1})
+    e = (h_q**k * amb.q**k - h**k) * zk * (1 / c) + UniPoly.one()
+    low = UniPoly.constant(c) - h**k * zk
+    high = UniPoly.constant(c) - h_q**k * zk * amb.q**k
+    levels = [e]
+    for _ in range(top - 1):
+        e = (low * e.compose_linear(1 / amb.q, 0) - high * e) * (1 / c) + e
+        levels.append(e)
+    return levels
+
+
+def ambient_from_roots(k, roots, q_plus, q_minus):
+    """The ambient algebra of p = z^k * prod(1 - z/rho) over ``roots``."""
+    p = UniPoly({k: 1})
+    for rho in roots:
+        p = p * UniPoly({0: 1, 1: -1 / Fraction(rho)})
+    return AmbientAlgebra(p, q_plus, q_minus)
+
+
+# q < 0, |q| < 1 and k in 1..3; the degree of e_40 stays at most 120
+ORACLE_CONFIGS = {
+    "k1-q-negative": (1, [2, Fraction(-1, 3)], -2, 3),
+    "k2-q-below-one": (2, [-3], Fraction(1, 2), Fraction(1, 3)),
+    "k3-q-negative-below-one": (3, [Fraction(1, 2)], Fraction(-2, 3), Fraction(1, 2)),
+}
+
+
+def oracle_ambient(name):
+    if name in ORACLE_CONFIGS:
+        return ambient_from_roots(*ORACLE_CONFIGS[name])
+    return preset(name).ambient_algebra()
+
+
+@pytest.mark.parametrize("name", [*PRESETS, *ORACLE_CONFIGS])
+def test_trace_recursive_matches_reference_to_level_40(name):
+    amb = oracle_ambient(name)
+    for n, expected in enumerate(trace_levels_reference(amb, 40), 1):
+        assert idempotent_trace_recursive(amb, n) == expected, n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trace_recursive_is_one_without_tail(k):
+    amb = AmbientAlgebra(UniPoly({k: Fraction(-5, 3)}), 2, Fraction(1, 3))  # p = c z^k, h = 0
+    assert amb.p_tail == UniPoly.zero()
+    for n, expected in enumerate(trace_levels_reference(amb, 40), 1):
+        assert expected == UniPoly.one()
+        assert idempotent_trace_recursive(amb, n) == UniPoly.one()
+
+
+def test_trace_recursive_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    for amb in map(oracle_ambient, [*PRESETS, *ORACLE_CONFIGS]):
+        k, q = amb.k, sympy.Rational(amb.q.numerator, amb.q.denominator)
+        c = sympy.Rational(amb.p_reduced.constant_term) ** k
+        h = sum(sympy.Rational(v.numerator, v.denominator) * z**d
+                for d, v in amb.p_tail.coeffs.items())
+        low = c - h**k * z**k
+        high = c - q**k * h.subs(z, q * z) ** k * z**k
+        e = sympy.expand((q**k * h.subs(z, q * z) ** k - h**k) * z**k / c + 1)
+        for n in range(1, 9):
+            coeffs = sympy.Poly(e, z).as_dict()
+            expected = UniPoly({d: Fraction(int(v.p), int(v.q)) for (d,), v in coeffs.items()})
+            assert idempotent_trace_recursive(amb, n) == expected, n
+            e = sympy.expand((low * e.subs(z, z / q) - high * e) / c + e)

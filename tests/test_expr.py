@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylbundles.config import preset
-from weylbundles.expr import MAX_EXPONENT, ParseError, generators, parse
+from weylbundles.expr import MAX_EXPONENT, MAX_SCALAR_BITS, ParseError, generators, parse
 from weylbundles.sampling import random_amb_elem, random_gwa_elem
 
 
@@ -91,6 +91,22 @@ def test_nested_exponents_beyond_the_limit(gwa_parse, text, product, position):
     with pytest.raises(ParseError) as err:
         gwa_parse(text)
     assert f"nested exponents multiply to {product}, larger than {MAX_EXPONENT}" in str(err.value)
+    assert err.value.position == position
+
+
+def test_scalar_power_within_the_bit_bound(sphere_gwa, gwa_parse):
+    assert gwa_parse("(2^64)^64") == sphere_gwa.from_scalar(Fraction(2) ** 4096)
+    assert gwa_parse("(3/2)^64*y") == sphere_gwa.y() * Fraction(3, 2) ** 64
+
+
+@pytest.mark.parametrize("text,bits,position", [
+    ("((2^64)^64)^64", 4097 * 64, 12), ("(((2^64)^64)^64)^64", 4097 * 64, 13),
+    ("((1/2^64)^64)^64", 4097 * 64, 14), ("((2^64+1)^64)^2", 4097 * 2, 14),
+])
+def test_scalar_power_beyond_the_bit_bound(gwa_parse, text, bits, position):
+    with pytest.raises(ParseError) as err:
+        gwa_parse(text)
+    assert f"power of a number with up to {bits} bits, more than {MAX_SCALAR_BITS}" in str(err.value)
     assert err.value.position == position
 
 

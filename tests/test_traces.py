@@ -3,9 +3,10 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weylbundles.ambient import AmbientAlgebra
 from weylbundles.config import PRESETS, Config, preset
 from weylbundles.connection import idempotent_trace, idempotent_trace_recursive
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
@@ -16,6 +17,7 @@ from weylbundles.traces import (
     MAX_TRACE_PAIRS,
     CyclicTrace,
     chern_pairing,
+    chern_pairings,
     verify_trace,
 )
 
@@ -224,6 +226,52 @@ def test_chern_pairing_rejects_bad_zeta(sphere_amb):
         chern_pairing(sphere_amb, 0, 1)
     with pytest.raises(ValueError):
         chern_pairing(sphere_amb, 3, 1)
+
+
+def test_chern_pairings_build_once_for_every_root(monkeypatch):
+    import weylbundles.traces as traces
+
+    amb = AmbientAlgebra(UniPoly({1: 1}) * UniPoly({0: 1, 1: Fraction(-1, 2)})
+                         * UniPoly({0: 1, 1: Fraction(1, 3)}), 2, 3)
+    builds = []
+    build = traces.idempotent_trace
+    monkeypatch.setattr(traces, "idempotent_trace", lambda a, n: builds.append(n) or build(a, n))
+    assert chern_pairings(amb, [2, -3], 2) == [-2, -2]
+    assert builds == [2]
+    assert chern_pairings(amb, [], 1) == [] and chern_pairing(amb, -3, -1) == 1
+    with pytest.raises(ValueError, match="not a root"):
+        chern_pairings(amb, [2, 5], 1)
+    assert builds == [2, 1, -1]
+
+
+NONZERO_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def ambient_configs(draw):
+    """p = z^k prod (1 - z/rho)^m over at most two distinct nonzero rational
+    roots rho, with k in 1..3 and deg p <= 5; q+ and q- nonzero, q+ q- != +-1."""
+    k = draw(st.integers(1, 3))
+    roots = draw(st.lists(NONZERO_RATIONAL, max_size=min(2, 5 - k), unique=True))
+    p, free = UniPoly({k: 1}), 5 - k - len(roots)
+    for rho in roots:
+        mult = draw(st.integers(1, 1 + free))
+        free -= mult - 1
+        p = p * UniPoly({0: 1, 1: -1 / rho}) ** mult
+    q_plus, q_minus = draw(NONZERO_RATIONAL), draw(NONZERO_RATIONAL)
+    assume(q_plus * q_minus not in (1, -1))
+    return AmbientAlgebra(p, q_plus, q_minus), roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(ambient_configs(), st.integers(1, 3))
+def test_drawn_configs_trace_and_pairing(config, n):
+    amb, roots = config
+    direct = idempotent_trace(amb, n)
+    assert direct == idempotent_trace_recursive(amb, n)
+    assert direct(0) == 1
+    for rho in roots:
+        assert CyclicTrace(amb.q, 0, rho).on_poly(direct) == -n
 
 
 def test_config_zeta_validation():
