@@ -118,9 +118,11 @@ def _cmd_chern(cfg: Config, args, out: _Reporter) -> None:
 
 def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
     alg = cfg.gwa_algebra()
-    zetas = [frac(args.zeta)] if args.zeta is not None else list(cfg.zetas)
+    zetas = [frac(args.zeta)] if args.zeta is not None else list(cfg.nonzero_zetas())
     if not zetas:
-        raise ValueError("no root listed for the trace")
+        raise ValueError("no nonzero root listed for the trace")
+    if 0 in zetas:
+        raise ValueError("the trace at the root 0 is the zero map; give a nonzero root")
     for zeta in zetas:
         trace = CyclicTrace.for_algebra(alg, zeta)
         records = verify_trace(trace, alg, bound=args.bound, pairs=args.pairs)
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-check", help="verify the trace property")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--zeta")
+    p.add_argument("--zeta", help="nonzero root of p (default: all listed nonzero roots)")
     p.set_defaults(func=_cmd_trace_check)
 
     p = sub.add_parser("grading-check", help="search for a strong-grading witness")

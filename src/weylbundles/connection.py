@@ -25,7 +25,7 @@ from typing import Optional
 
 from .ambient import AmbientAlgebra, AmbientElem, project_degree_zero
 from .gwa import AlgebraMismatch, GwaElem
-from .poly import PairPoly, UniPoly, _integer_terms, poly_divmod
+from .poly import PairPoly, UniPoly, _integer_terms
 
 # the largest levels whose tensor, and whose idempotent square, take seconds
 # rather than minutes (see the module docstring for the growth of each)
@@ -90,30 +90,31 @@ class Tensor2:
         return " + ".join(f"[{l}] (x) [{r}]" for l, r in self.pairs)
 
 
+def _geometric_sum(amb: AmbientAlgebra) -> UniPoly:
+    """G(z) = sum_{i<k} (z h(z))^i pt(0)^(k-1-i), so pt(0)^k - (z h(z))^k = pt(z) G(z)."""
+    pt0, zh = amb.p_reduced.constant_term, UniPoly.gen() * amb.p_tail
+    return sum((zh**i * pt0 ** (amb.k - 1 - i) for i in range(amb.k)), UniPoly.zero())
+
+
 def lowering_connection(amb: AmbientAlgebra) -> Tensor2:
     """The level-one connection tensor with legs in degrees (-1, +1).
 
     With p = z^k pt, pt(z) = pt(0) - z h(z) and q = q_plus q_minus:
 
         (1/pt(0)^k) [ q^k h(qz)^k z-^k  (x)  z+^k
-                      + x-  (x)  (sum_i z^i h(z)^i pt(0)^{k-1-i}) x+ ]
+                      + x-  (x)  G(z) x+ ]
 
-    where the geometric sum runs over i = 0..k-1 and z stands for z+ z-.
+    where G(z) = sum_{i<k} z^i h(z)^i pt(0)^{k-1-i} and z stands for z+ z-.
     """
     k = amb.k
-    pt0 = amb.p_reduced.constant_term
-    scale = pt0 ** (-k)
+    scale = amb.p_reduced.constant_term ** (-k)
     h_q = amb.p_tail.compose_linear(amb.q, 0)
     left1 = amb.from_pair(
         PairPoly.diagonal(h_q**k * (amb.q**k * scale)) * PairPoly.monomial(0, k)
     )
     right1 = amb.basis_elem(0, k, 0)
-    geo = UniPoly.zero()
-    zh = UniPoly.gen() * amb.p_tail
-    for i in range(k):
-        geo = geo + zh**i * pt0 ** (k - 1 - i)
     left2 = amb.x_minus() * scale
-    right2 = amb.from_z_poly(geo) * amb.x_plus()
+    right2 = amb.from_z_poly(_geometric_sum(amb)) * amb.x_plus()
     return Tensor2(amb, ((left1, right1), (left2, right2)), (-1, 1))
 
 
@@ -123,22 +124,16 @@ def raising_connection(amb: AmbientAlgebra) -> Tensor2:
         (1/pt(0)^k) [ h(z)^k z+^k  (x)  z-^k
                       + x+  (x)  Q(z) x- ]
 
-    with Q the exact quotient (pt(0)^k - q^k z^k h(qz)^k) / pt(qz).  The
-    division being exact is a consequence of pt(z) = pt(0) - z h(z); a
-    nonzero remainder would indicate a bug.
+    with Q = (pt(0)^k - q^k z^k h(qz)^k) / pt(qz) = G(qz), for G the
+    geometric sum of :func:`lowering_connection`: with a = pt(0) and
+    u = pt(qz) = a - qz h(qz), a^k - (a - u)^k = u sum_{i<k} a^(k-1-i) (a - u)^i.
     """
     k = amb.k
-    pt0 = amb.p_reduced.constant_term
-    scale = pt0 ** (-k)
-    h_q = amb.p_tail.compose_linear(amb.q, 0)
-    numerator = UniPoly.constant(pt0**k) - h_q**k * UniPoly({k: amb.q**k})
-    quot, rem = poly_divmod(numerator, amb.p_reduced.compose_linear(amb.q, 0))
-    if rem:
-        raise RuntimeError("internal error: connection quotient is not exact")
+    scale = amb.p_reduced.constant_term ** (-k)
     left1 = amb.from_pair(PairPoly.diagonal(amb.p_tail**k * scale) * PairPoly.monomial(k, 0))
     right1 = amb.basis_elem(0, 0, k)
     left2 = amb.x_plus() * scale
-    right2 = amb.from_z_poly(quot) * amb.x_minus()
+    right2 = amb.from_z_poly(_geometric_sum(amb).compose_linear(amb.q, 0)) * amb.x_minus()
     return Tensor2(amb, ((left1, right1), (left2, right2)), (1, -1))
 
 

@@ -10,50 +10,46 @@ from .gwa import GwaAlgebra, GwaElem
 from .poly import PairPoly, UniPoly
 
 
-def random_fraction(rng: Random, span: int = 4) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, span)
-    return Fraction(num, den)
+def random_fraction(rng: Random) -> Fraction:
+    """A rational a/b with |a| <= 4 and 1 <= b <= 4."""
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
 
 
-def random_unipoly(rng: Random, max_deg: int = 4, terms: int = 3,
-                   span: int = 4) -> UniPoly:
+def random_unipoly(rng: Random, max_deg: int = 4, terms: int = 3) -> UniPoly:
     data = {}
     for _ in range(rng.randint(0, terms)):
-        data[rng.randint(0, max_deg)] = random_fraction(rng, span)
+        data[rng.randint(0, max_deg)] = random_fraction(rng)
     return UniPoly(data)
 
 
-def random_gwa_elem(alg: GwaAlgebra, rng: Random, max_block: int = 2,
-                    max_deg: int = 3, terms: int = 3) -> GwaElem:
+def random_gwa_elem(alg: GwaAlgebra, rng: Random) -> GwaElem:
+    """Up to three terms x^d f(z) or y^d f(z), |d| <= 2, f of degree <= 3."""
     data = {}
-    for _ in range(rng.randint(1, terms)):
-        d = rng.randint(-max_block, max_block)
-        f = random_unipoly(rng, max_deg, terms=2)
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(-2, 2)
+        f = random_unipoly(rng, 3, terms=2)
         if f:
             data[d] = data.get(d, UniPoly.zero()) + f
     return alg.elem(data)
 
 
-def random_amb_elem(amb: AmbientAlgebra, rng: Random, max_block: int = 1,
-                    max_exp: int = 2, terms: int = 3) -> AmbientElem:
+def random_amb_elem(amb: AmbientAlgebra, rng: Random) -> AmbientElem:
+    """Up to three monomials x(pm)^|m| z+^a z-^b, |m| <= 1, a, b <= 2."""
     data: dict[int, PairPoly] = {}
-    for _ in range(rng.randint(1, terms)):
-        m = rng.randint(-max_block, max_block)
-        mono = PairPoly.monomial(
-            rng.randint(0, max_exp), rng.randint(0, max_exp), random_fraction(rng)
-        )
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(-1, 1)
+        mono = PairPoly.monomial(rng.randint(0, 2), rng.randint(0, 2), random_fraction(rng))
         if mono:
             data[m] = data.get(m, PairPoly.zero()) + mono
     return amb.elem(data)
 
 
-def random_homogeneous_amb(amb: AmbientAlgebra, rng: Random, degree: int,
-                           size_bound: int = 4, terms: int = 3) -> AmbientElem:
-    """Random combination of basis monomials of one ambient degree."""
-    basis = ambient_graded_view(amb).enumerate_basis(degree, size_bound)
+def random_homogeneous_amb(amb: AmbientAlgebra, rng: Random, degree: int) -> AmbientElem:
+    """Random combination of up to three basis monomials of one ambient
+    degree, each of size at most 4."""
+    basis = ambient_graded_view(amb).enumerate_basis(degree, 4)
     out = amb.zero()
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 3)):
         c = random_fraction(rng)
         if c:
             out = out + rng.choice(basis) * c

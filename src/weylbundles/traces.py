@@ -3,15 +3,16 @@
 For every root zeta of p (with 0 also a root and q not a root of unity,
 i.e. q outside {0, 1, -1} over the rationals) there is a trace that kills
 all x/y monomials and all constants.  On polynomials in z it is fixed by
-the shift identity tau(f) - tau(f(qz + r)) = f(zeta) - f(0): solving
-F - F(qz + r) = f up to constants by one triangular back substitution
-gives tau(f) = F(zeta) - F(0).  Pairing it with the idempotent traces of
-:mod:`weylbundles.connection` yields the integer -n at level n.
+the shift identity tau(f) - tau(f(qz + r)) = f(zeta) - f(0), so
+tau(f) = F(zeta) - F(0) for any F with F - F(qz + r) = f up to constants.
+About the fixed point z0 = r/(1 - q) of z -> qz + r the shift is w -> qw,
+and the solve is one division per coefficient.  Pairing the trace with the
+idempotent traces of :mod:`weylbundles.connection` yields the integer -n at
+level n.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from random import Random
 from typing import Optional
 
@@ -28,24 +29,19 @@ def _check_q_admissible(q: Fraction):
         raise ValueError(f"q = {q} is zero or a root of unity")
 
 
-def _shift_antidifference(q: Fraction, r: Fraction, f: dict[int, Fraction]) -> list[Fraction]:
-    """Coefficients [0, a_1, ..., a_d] of an F with F - F(qz + r) - f constant.
+def _antidifference(q: Fraction, r: Fraction, f: UniPoly) -> UniPoly:
+    """The F with F(0) = 0 and F - F(qz + r) - f constant.
 
-    The z^i coefficient of F - F(qz + r) is (1 - q^i) a_i minus the sum over
-    j > i of C(j, i) q^i r^(j-i) a_j: a triangular system whose diagonal is
-    nonzero for i >= 1 because q is not a root of unity.  It is solved from
-    the top degree down; for r = 0 it is diagonal.
+    In w = z - z0, for z0 = r/(1 - q) the fixed point of z -> qz + r, the
+    shift is w -> qw, so the w^i coefficient of F is that of f divided by
+    1 - q^i, nonzero for i >= 1 because q is not a root of unity.  For
+    r = 0 the fixed point is 0 and no substitution runs.
     """
-    d = max(f, default=0)
-    a = [Fraction(0)] * (d + 1)
-    r_pows = [r**k for k in range(d + 1)] if r else None
-    for i in range(d, 0, -1):
-        rhs = f.get(i, Fraction(0))
-        if r:
-            rhs += q**i * sum((comb(j, i) * r_pows[j - i] * a[j] for j in range(i + 1, d + 1)),
-                              Fraction(0))
-        a[i] = rhs / (1 - q**i)
-    return a
+    z0 = r / (1 - q)
+    if not z0:
+        return UniPoly._make({i: c / (1 - q**i) for i, c in f.coeffs.items() if i})
+    F = _antidifference(q, Fraction(0), f.compose_linear(1, z0)).compose_linear(1, -z0)
+    return UniPoly._make({i: c for i, c in F.coeffs.items() if i})
 
 
 class CyclicTrace:
@@ -82,15 +78,12 @@ class CyclicTrace:
         if n < 1:
             raise ValueError("moment coefficients are defined for n >= 1")
         scale = 1 - self.q**n
-        solve = _shift_antidifference(self.q, self.r, {n: Fraction(1)})
-        return tuple(scale * a for a in solve[1:])
+        solve = _antidifference(self.q, self.r, UniPoly({n: 1})).coeffs
+        return tuple(scale * solve.get(i, Fraction(0)) for i in range(1, n + 1))
 
     def on_poly(self, f: UniPoly) -> Fraction:
-        """Value on a polynomial in z: F(zeta) - F(0), F the solve for f, by Horner."""
-        total = Fraction(0)
-        for a in reversed(_shift_antidifference(self.q, self.r, f.coeffs)[1:]):
-            total = (total + a) * self.zeta
-        return total
+        """Value on a polynomial in z: F(zeta), F the solve for f with F(0) = 0."""
+        return _antidifference(self.q, self.r, f)(self.zeta)
 
     def __call__(self, e: GwaElem) -> Fraction:
         if e.alg.q != self.q or e.alg.r != self.r:
@@ -152,8 +145,9 @@ def chern_pairings(amb: AmbientAlgebra, zetas, n: int) -> list[Fraction]:
     """Trace of the level-n idempotent under the cyclic trace at each zeta.
 
     Every zeta must be a nonzero root of p, and all are checked before the
-    level-n trace polynomial is built, once for all of them.  Each value is
-    the integer index of the level-n module (equal to -n).
+    level-n trace polynomial is built; when a root is given, q is checked
+    and the trace is solved once for all of them.  Each value is the
+    integer index of the level-n module (equal to -n).
     """
     zetas = [frac(zeta) for zeta in zetas]
     for zeta in zetas:
@@ -162,7 +156,11 @@ def chern_pairings(amb: AmbientAlgebra, zetas, n: int) -> list[Fraction]:
         if amb.p(zeta) != 0:
             raise ValueError(f"zeta = {zeta} is not a root of the defining polynomial")
     e = idempotent_trace(amb, n)
-    return [CyclicTrace(amb.q, 0, zeta).on_poly(e) for zeta in zetas]
+    if not zetas:
+        return []
+    _check_q_admissible(amb.q)
+    F = _antidifference(amb.q, Fraction(0), e)
+    return [F(zeta) for zeta in zetas]
 
 
 def chern_pairing(amb: AmbientAlgebra, zeta, n: int) -> Fraction:

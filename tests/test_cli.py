@@ -420,6 +420,19 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, data, message):
     assert message in usage_error(capsys, "--config", path, "normalize", "z")
 
 
+def test_trace_check_refuses_the_zero_root(capsys):
+    assert "zero map" in usage_error(capsys, "--preset", "sphere", "trace-check", "--zeta", "0")
+
+
+def test_trace_check_defaults_to_the_nonzero_roots(capsys, tmp_path):
+    path = write_config(tmp_path, {**SPHERE_CONFIG, "zetas": ["0", "1"]})
+    code, records, _ = run_cli(capsys, "--config", path, "trace-check",
+                               "--bound", "1", "--pairs", "2")
+    assert code == 0 and [r["params"]["zeta"] for r in records] == ["1"]
+    path = write_config(tmp_path, {**SPHERE_CONFIG, "zetas": ["0"]})
+    assert "no nonzero root" in usage_error(capsys, "--config", path, "trace-check")
+
+
 @pytest.mark.parametrize("dim", ["1", "2"])
 def test_rep_check_small_dim_is_usage_error(capsys, dim):
     assert "--dim must be >= 3" in usage_error(

@@ -21,7 +21,7 @@ from weylbundles.connection import (
 )
 from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import GwaElem
-from weylbundles.poly import UniPoly
+from weylbundles.poly import UniPoly, poly_divmod
 from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
 
 
@@ -352,3 +352,18 @@ def test_trace_recursive_matches_sympy():
             expected = UniPoly({d: Fraction(int(v.p), int(v.q)) for (d,), v in coeffs.items()})
             assert idempotent_trace_recursive(amb, n) == expected, n
             e = sympy.expand((low * e.subs(z, z / q) - high * e) / c + e)
+
+
+# -- the raising quotient against long division -------------------------------
+
+@pytest.mark.parametrize("name", [*PRESETS, *ORACLE_CONFIGS])
+def test_raising_quotient_matches_long_division(name):
+    """Q = (pt(0)^k - q^k z^k h(qz)^k) / pt(qz) divides exactly and is the
+    z-polynomial on the x+ (x) Q x- pair of the raising tensor."""
+    amb = oracle_ambient(name)
+    k, q = amb.k, amb.q
+    numerator = (UniPoly.constant(amb.p_reduced.constant_term**k)
+                 - amb.p_tail.compose_linear(q, 0) ** k * UniPoly({k: q**k}))
+    quot, rem = poly_divmod(numerator, amb.p_reduced.compose_linear(q, 0))
+    assert rem == UniPoly.zero()
+    assert raising_connection(amb).pairs[-1][1] == amb.from_z_poly(quot) * amb.x_minus()

@@ -102,6 +102,49 @@ def test_solve_matches_recursion_on_draws(q, r, zeta, f):
     assert_matches_recursion(q, r, zeta, f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    small_fractions.filter(lambda q: q not in (0, 1, -1)),
+    st.one_of(st.just(Fraction(0)), small_fractions),
+    small_fractions,
+    st.dictionaries(st.integers(0, 10), small_fractions, max_size=6).map(UniPoly),
+)
+def test_fixed_point_solve_matches_shift_oracle(q, r, zeta, f):
+    trace = CyclicTrace(q, r, zeta)
+    oracle = moment_oracle(q, r, zeta, 10)
+    value = trace.on_poly(f)
+    assert value == sum((c * oracle[d] for d, c in f.coeffs.items()), Fraction(0))
+    shifted = f.compose_linear(q, r)
+    assert value - trace.on_poly(shifted) == f(zeta) - f(0)
+
+
+def sympy_rational(sympy, x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("q,r,zeta", [(4, "1/2", 1), (-3, 2, "3/7"), ("2/5", "-1/3", -2),
+                                      ("-7/2", "5/3", "1/9"), ("1/3", 0, 2)])
+def test_solve_matches_sympy(q, r, zeta):
+    """F - F(qz + r) = f with F(0) = 0, solved by sympy as a linear system."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    trace = CyclicTrace(q, r, zeta)
+    sq, sr, szeta = (sympy_rational(sympy, v) for v in (q, r, zeta))
+    for degree in range(1, 7):
+        f = UniPoly({d: Fraction(d % 5 - 2, d % 3 + 1) for d in range(degree + 1)})
+        fz = sum(sympy_rational(sympy, c) * z**d for d, c in f.coeffs.items())
+        a = sympy.symbols(f"a1:{degree + 1}")
+        F = sum(ai * z**i for i, ai in enumerate(a, 1))
+        residual = sympy.expand(F - F.subs(z, sq * z + sr) - fz)
+        solution = sympy.solve([residual.coeff(z, i) for i in range(1, degree + 1)], a)
+        assert trace.on_poly(f) == Fraction(str(F.subs(solution).subs(z, szeta)))
+        top = sympy.solve([sympy.expand(F - F.subs(z, sq * z + sr) - z**degree).coeff(z, i)
+                           for i in range(1, degree + 1)], a)
+        scale = 1 - sq**degree
+        assert trace.coeffs(degree) == tuple(Fraction(str(scale * top[ai])) for ai in a)
+
+
 @pytest.mark.parametrize("q,r", [(Fraction(4), Fraction(0)),
                                  (Fraction(4), Fraction(1, 2)),
                                  (Fraction(-3), Fraction(2)),
@@ -242,6 +285,13 @@ def test_chern_pairings_build_once_for_every_root(monkeypatch):
     with pytest.raises(ValueError, match="not a root"):
         chern_pairings(amb, [2, 5], 1)
     assert builds == [2, -1]                   # a bad root is refused before the build
+
+
+def test_chern_pairings_check_q_only_for_a_root():
+    amb = AmbientAlgebra(P_SPHERE, 1, -1)                  # q = -1, a root of unity
+    assert chern_pairings(amb, [], 2) == []
+    with pytest.raises(ValueError, match="root of unity"):
+        chern_pairings(amb, [1], 2)
 
 
 NONZERO_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
