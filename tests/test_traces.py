@@ -131,18 +131,20 @@ def test_solve_matches_sympy(q, r, zeta):
     z = sympy.Symbol("z")
     trace = CyclicTrace(q, r, zeta)
     sq, sr, szeta = (sympy_rational(sympy, v) for v in (q, r, zeta))
+
+    def solve(rhs, degree):
+        a = sympy.symbols(f"a1:{degree + 1}")
+        F = sum(ai * z**i for i, ai in enumerate(a, 1))
+        residual = sympy.expand(F - F.subs(z, sq * z + sr) - rhs)
+        return F.subs(sympy.solve([residual.coeff(z, i) for i in range(1, degree + 1)], a))
+
     for degree in range(1, 7):
         f = UniPoly({d: Fraction(d % 5 - 2, d % 3 + 1) for d in range(degree + 1)})
         fz = sum(sympy_rational(sympy, c) * z**d for d, c in f.coeffs.items())
-        a = sympy.symbols(f"a1:{degree + 1}")
-        F = sum(ai * z**i for i, ai in enumerate(a, 1))
-        residual = sympy.expand(F - F.subs(z, sq * z + sr) - fz)
-        solution = sympy.solve([residual.coeff(z, i) for i in range(1, degree + 1)], a)
-        assert trace.on_poly(f) == Fraction(str(F.subs(solution).subs(z, szeta)))
-        top = sympy.solve([sympy.expand(F - F.subs(z, sq * z + sr) - z**degree).coeff(z, i)
-                           for i in range(1, degree + 1)], a)
-        scale = 1 - sq**degree
-        assert trace.coeffs(degree) == tuple(Fraction(str(scale * top[ai])) for ai in a)
+        assert trace.on_poly(f) == Fraction(str(solve(fz, degree).subs(z, szeta)))
+        moment = sympy.expand((1 - sq**degree) * solve(z**degree, degree))
+        assert trace.coeffs(degree) == tuple(Fraction(str(moment.coeff(z, i)))
+                                             for i in range(1, degree + 1))
 
 
 @pytest.mark.parametrize("q,r", [(Fraction(4), Fraction(0)),
