@@ -2,13 +2,7 @@
 ambient algebras, strong connections, line-bundle idempotents, cyclic traces
 and the integer index pairing, over the rationals."""
 
-from .ambient import (
-    AmbientAlgebra,
-    AmbientElem,
-    embed_degree_zero,
-    project_degree_zero,
-    veronese_component,
-)
+from .ambient import AmbientAlgebra, AmbientElem, embed_degree_zero, project_degree_zero
 from .config import Config, load_config, preset
 from .connection import (
     IdemMatrix,
@@ -66,5 +60,5 @@ __all__ = [
     "induced_quotient_view", "load_config", "lowering_connection",
     "module_row", "poly_divmod", "preset", "project_degree_zero",
     "raising_connection", "tail_decompose", "unit_in_degree",
-    "veronese_component", "veronese_view", "verify_trace", "witness_search",
+    "veronese_view", "verify_trace", "witness_search",
 ]

@@ -120,32 +120,22 @@ class AmbientElem(GwaElem):
                 out[(m, a, b)] = c
         return out
 
-    def degree_split(self) -> dict[int, "AmbientElem"]:
-        """Partition into homogeneous components, keyed by degree."""
-        buckets: dict[int, dict[int, dict[tuple[int, int], Fraction]]] = {}
-        for m, f in self.terms.items():
-            for (a, b), c in f.coeffs.items():
-                d = self.alg.degree_of_key(m, a, b)
-                buckets.setdefault(d, {}).setdefault(m, {})[(a, b)] = c
-        return {
-            d: AmbientElem(self.alg, {m: PairPoly(cs) for m, cs in terms.items()})
-            for d, terms in buckets.items()
-        }
+    def _degrees(self) -> set[int]:
+        """The degrees of the basis monomials the element carries."""
+        return {self.alg.degree_of_key(m, a, b)
+                for m, f in self.terms.items() for a, b in f.coeffs}
 
     def degree(self) -> int | None:
         """The degree of a homogeneous element (None for zero)."""
-        split = self.degree_split()
-        if not split:
-            return None
-        if len(split) > 1:
-            raise ValueError(f"element is not homogeneous: degrees {sorted(split)}")
-        return next(iter(split))
+        degrees = self._degrees()
+        if len(degrees) > 1:
+            raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
+        return next(iter(degrees), None)
 
     def is_homogeneous(self, d: int | None = None) -> bool:
-        split = self.degree_split()
-        if len(split) > 1:
-            return False
-        return d is None or not split or next(iter(split)) == d
+        """Homogeneous (of degree d, when given); zero is homogeneous of every degree."""
+        degrees = self._degrees()
+        return len(degrees) <= 1 and (d is None or degrees <= {d})
 
 
 def _degree_zero_scale(amb: AmbientAlgebra, m: int) -> Fraction:
@@ -188,7 +178,3 @@ def project_degree_zero(amb: AmbientAlgebra, e: AmbientElem) -> GwaElem:
         terms.setdefault(m, {})[min(a, b)] = c / _degree_zero_scale(amb, m)
     return amb.gwa().elem({m: UniPoly(cs) for m, cs in terms.items()})
 
-
-def veronese_component(amb: AmbientAlgebra, n: int, e: AmbientElem) -> AmbientElem:
-    """The part of e in degree n*k, i.e. degree n of the k-th Veronese algebra."""
-    return e.degree_split().get(n * amb.k, amb.zero())

@@ -63,6 +63,20 @@ class Config:
         return tuple(z for z in self.zetas if z != 0)
 
 
+def _integer(value) -> int:
+    """An int, or a string of one; floats and booleans are rejected, as in ``frac``."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _array(value, key: str) -> list:
+    """``value`` if it is a JSON array; nothing else is read as one."""
+    if not isinstance(value, list):
+        raise ValueError(f'config "{key}" must be a JSON array, got {type(value).__name__}')
+    return value
+
+
 def poly_from_roots(roots: list) -> UniPoly:
     """Build p from (root, multiplicity) pairs.
 
@@ -70,7 +84,7 @@ def poly_from_roots(roots: list) -> UniPoly:
     root 0 contributes z^mult, so [[0, k], [rho, 1], ...] yields
     z^k * prod (1 - z/rho).  The multiplicities sum to the degree of p.
     """
-    factors = [(frac(root), int(mult)) for root, mult in roots]
+    factors = [(frac(root), _integer(mult)) for root, mult in roots]
     if any(mult < 0 for _, mult in factors):
         raise ValueError("multiplicities must be >= 0")
     _check_degree(sum(mult for _, mult in factors))
@@ -100,18 +114,21 @@ def config_from_dict(data: dict, name: str = "custom") -> Config:
         zetas = [zeta] if zeta is not None else []
     try:
         if "roots" in p_data:
-            p = poly_from_roots(p_data["roots"])
+            roots = _array(p_data["roots"], "roots")
+            if not all(isinstance(pair, list) and len(pair) == 2 for pair in roots):
+                raise ValueError('config "roots" must hold [root, multiplicity] arrays')
+            p = poly_from_roots(roots)
         else:
-            p = UniPoly.from_coeff_list([frac(c) for c in p_data["coeffs"]])
+            p = UniPoly.from_coeff_list([frac(c) for c in _array(p_data["coeffs"], "coeffs")])
         return Config(
             name=data.get("name", name),
             p=p,
             q_plus=frac(data["q_plus"]),
             q_minus=frac(data["q_minus"]),
             r=frac(data.get("r", "0")),
-            zetas=tuple(frac(z) for z in zetas),
+            zetas=tuple(frac(z) for z in _array(zetas, "zetas")),
         )
-    except TypeError as exc:  # a float, or a list or number where the other belongs
+    except TypeError as exc:  # a float, a boolean, or an array where a number belongs
         raise ValueError(f"malformed config value: {exc}") from None
 
 

@@ -152,7 +152,10 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}", pos) from None
         if kind == "name":
             self.weight = 1
             try:

@@ -49,14 +49,6 @@ class GradedView:
     modulus: Optional[int] = None
     multiply: Callable[[object, object], object] = operator.mul
 
-    @property
-    def one(self):
-        return self.amb.one()
-
-    def expand(self, e) -> dict:
-        """The element as a coefficient dict keyed by monomial."""
-        return e.monomials()
-
     def bidegree(self, e) -> tuple[int, int]:
         """The ambient Z^2 bidegree (m, a - b) of a basis monomial.
 
@@ -94,10 +86,6 @@ class GradedView:
                         out.append(amb.basis_elem(m, a, b))
         return out
 
-    def unit_key(self):
-        (key,) = self.expand(self.one)
-        return key
-
     def normalize_degree(self, g: int) -> int:
         return g if self.modulus is None else g % self.modulus
 
@@ -115,13 +103,13 @@ class Witness:
         """Re-verify the defining identity, independently of the solver."""
         total: dict = {}
         for a, b, c in self.pairs:
-            for key, v in view.expand(view.multiply(a, b)).items():
+            for key, v in view.multiply(a, b).monomials().items():
                 w = total.get(key, _ZERO) + c * v
                 if w:
                     total[key] = w
                 else:
                     del total[key]
-        return total == view.expand(view.one)
+        return total == view.amb.one().monomials()
 
     def to_json(self) -> list:
         return [[str(a), str(b), str(c)] for a, b, c in self.pairs]
@@ -222,7 +210,8 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
         raise ValueError(f"size bound must be in [1, {MAX_SIZE_BOUND}], got {size_bound}")
     g = view.normalize_degree(g)
     if g == 0:
-        return Witness(((view.one, view.one, Fraction(1)),))
+        one = view.amb.one()
+        return Witness(((one, one, Fraction(1)),))
     partners: dict = {}  # minus the bidegree of b -> the right monomials b
     for b in view.enumerate_basis(view.negate_degree(g), size_bound):
         m, d = view.bidegree(b)
@@ -232,8 +221,9 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
         for a in view.enumerate_basis(g, size_bound)
         for b in partners.get(view.bidegree(a), ())
     ]
-    products = [view.expand(view.multiply(a, b)) for a, b in index_pairs]
-    combo = _combine_into_unit(products, view.unit_key())
+    products = [view.multiply(a, b).monomials() for a, b in index_pairs]
+    (unit_key,) = view.amb.one().monomials()
+    combo = _combine_into_unit(products, unit_key)
     if combo is None:
         return None
     pairs = tuple(
@@ -259,12 +249,13 @@ def compose_witnesses(quotient_witnesses: dict[int, Witness],
     """
     if view.modulus is not None:
         raise ValueError("composition needs the integer-graded base view")
+    one = view.amb.one()
+    trivial = Witness(((one, one, Fraction(1)),))
     if g == 0:
-        return Witness(((view.one, view.one, Fraction(1)),))
+        return trivial
     class_witness = quotient_witnesses.get(g % k)
     if class_witness is None:
         raise CompositionError(f"no quotient witness for class {g % k} (mod {k})")
-    trivial = Witness(((view.one, view.one, Fraction(1)),))
     pairs = []
     for a, b, c in class_witness.pairs:
         offset = view.degree_of(a) - g

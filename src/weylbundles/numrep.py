@@ -83,10 +83,10 @@ MAX_DIM = 1024
 def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
     """Bands with z diagonal on the orbit and x lowering the index.
 
-    Requires r = 0, 0 < q < 1 and p(q^j zeta) > 0 for j = 1..dim (checked
-    exactly; the j = 0 value may vanish since zeta is typically a root).
-    Only finitely many positivity conditions are checked, which the report
-    records.
+    Requires r = 0, 0 < q < 1, a root zeta of p and p(q^j zeta) > 0 for
+    j = 1..dim, all checked exactly: at a non-root, yx = p(z) fails on the
+    first basis vector, which the interior residuals never see.  Only finitely
+    many positivity conditions are checked, which the report records.
     """
     if alg.r != 0:
         raise ValueError("truncated representation needs r = 0")
@@ -97,6 +97,8 @@ def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
     zeta = frac(zeta)
     orbit = [alg.q**j * zeta for j in range(dim + 1)]
     values = [alg.p(w) for w in orbit]
+    if values[0] != 0:
+        raise ValueError(f"zeta = {zeta} is not a root of p: p(zeta) = {values[0]}")
     for j in range(1, dim + 1):
         if values[j] <= 0:
             raise ValueError(f"p(q^{j} zeta) = {values[j]} <= 0 at index {j}")

@@ -27,12 +27,12 @@ MAX_EXPONENT = 64
 def frac(x) -> Fraction:
     """Coerce an int, Fraction or string like ``"3/4"`` to an exact rational.
 
-    Floats are rejected: the engines are exact end to end.  A string with a
-    zero denominator is malformed input and raises ``ValueError``.
+    Floats and booleans are rejected: the engines are exact end to end.  A
+    string with a zero denominator is malformed input and raises ``ValueError``.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -3,12 +3,7 @@ from random import Random
 
 import pytest
 
-from weylbundles.ambient import (
-    AmbientAlgebra,
-    embed_degree_zero,
-    project_degree_zero,
-    veronese_component,
-)
+from weylbundles.ambient import AmbientAlgebra, embed_degree_zero, project_degree_zero
 from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
 from weylbundles.poly import PairPoly, UniPoly
@@ -36,18 +31,32 @@ def test_connection_identity_for_sphere(sphere_amb):
     assert lhs == amb.one()
 
 
-def test_degree_split_examples(sphere_amb):
-    amb = sphere_amb
-    assert list((amb.z_plus() * amb.z_minus()).degree_split()) == [0]
-    assert list(amb.x_minus().degree_split()) == [-1]
+def degree_split(e) -> dict:
+    """The homogeneous components of e keyed by degree: the reference for
+    ``degree`` and ``is_homogeneous``, read off each key (m, a, b) as -mk + a - b."""
+    k, parts = e.alg.k, {}
+    for (m, a, b), c in e.monomials().items():
+        parts.setdefault(-m * k + a - b, e.alg.zero())
+        parts[-m * k + a - b] += e.alg.basis_elem(m, a, b, c)
+    return parts
+
+
+def test_degree_examples(sphere_amb):
+    amb = sphere_amb                                          # k = 1
+    zero = amb.zero()
+    assert zero.degree() is None
+    assert zero.is_homogeneous() and zero.is_homogeneous(5)
+    assert (amb.z_plus() * amb.z_minus()).degree() == 0
+    assert amb.x_minus().degree() == -1
     e = amb.x_minus() * amb.z_plus() ** 2
-    assert list(e.degree_split()) == [1]
-    assert (amb.z_plus() + amb.x_plus()).degree() == 1        # k = 1
+    assert e.degree() == 1 and e.is_homogeneous(1) and e.is_homogeneous()
+    assert not e.is_homogeneous(0) and not e.is_homogeneous(-1)
+    assert (amb.z_plus() + amb.x_plus()).degree() == 1
     mixed = amb.z_plus() + amb.x_minus()
-    split = mixed.degree_split()
-    assert sorted(split) == [-1, 1] and sum(split.values(), amb.zero()) == mixed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degrees \[-1, 1\]"):
         mixed.degree()
+    assert not mixed.is_homogeneous()
+    assert not mixed.is_homogeneous(1) and not mixed.is_homogeneous(-1)
 
 
 def test_degree_respects_products(kleinian):
@@ -56,14 +65,37 @@ def test_degree_respects_products(kleinian):
     for _ in range(30):
         a = random_amb_elem(amb, rng)
         b = random_amb_elem(amb, rng)
-        product_split = (a * b).degree_split()
+        product_split = degree_split(a * b)
         expected: dict = {}
-        for d1, c1 in a.degree_split().items():
-            for d2, c2 in b.degree_split().items():
+        for d1, c1 in degree_split(a).items():
+            for d2, c2 in degree_split(b).items():
                 term = c1 * c2
                 if term:
                     expected[d1 + d2] = expected.get(d1 + d2, amb.zero()) + term
         assert {d: e for d, e in expected.items() if e} == product_split
+
+
+@pytest.mark.parametrize("amb", [preset("kleinian-demo").ambient_algebra(),
+                                 preset("lens(3,2,1/2)").ambient_algebra()],
+                         ids=["kleinian-demo", "lens(3,2,1/2)"])
+def test_degree_matches_the_split(amb):
+    rng = Random(9)
+    monomials = [amb.basis_elem(m, a, b) for m in range(-2, 3) for a in range(3)
+                 for b in range(3)]
+    for _ in range(40):
+        draws = [random_amb_elem(amb, rng) for _ in range(2)] + rng.sample(monomials, 2)
+        for e in (*draws, draws[0] + draws[2], draws[2] * draws[3], draws[2] + draws[3],
+                  draws[0] * draws[2], draws[2] * draws[3] * draws[1]):
+            split = degree_split(e)
+            if len(split) > 1:
+                with pytest.raises(ValueError):
+                    e.degree()
+                assert not e.is_homogeneous()
+            else:
+                assert e.degree() == next(iter(split), None)
+                assert e.is_homogeneous()
+            for d in range(-16, 17):
+                assert e.is_homogeneous(d) == (set(split) <= {d})
 
 
 def test_associativity_random(any_preset):
@@ -158,14 +190,6 @@ def test_closed_form_matches_product_reference(amb):
         image = product_embed(amb, e)
         assert embed_degree_zero(amb, e) == image
         assert project_degree_zero(amb, image) == e
-
-
-def test_veronese_component(kleinian):
-    amb = kleinian.ambient_algebra()          # k = 2
-    assert veronese_component(amb, 1, amb.x_plus()) == amb.x_plus()
-    assert veronese_component(amb, 0, amb.z_plus()).is_zero()
-    assert veronese_component(amb, 1, amb.z_plus()).is_zero()
-    assert veronese_component(amb, -1, amb.z_minus() ** 2) == amb.z_minus() ** 2
 
 
 def test_printing(sphere_amb):

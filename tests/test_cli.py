@@ -420,6 +420,43 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, data, message):
     assert message in usage_error(capsys, "--config", path, "normalize", "z")
 
 
+@pytest.mark.parametrize("args", [("normalize", "1/0"), ("normalize", "0/0"),
+                                  ("mul", "x", "1/0")])
+def test_zero_denominator_in_an_expression_is_usage_error(capsys, args):
+    assert "zero denominator in" in usage_error(capsys, *args)
+
+
+@pytest.mark.parametrize("data,message", [
+    ({**SPHERE_CONFIG, "p": {"coeffs": "0110"}}, '"coeffs" must be a JSON array'),
+    ({**SPHERE_CONFIG, "p": {"coeffs": {"1": "1"}}}, '"coeffs" must be a JSON array'),
+    ({**SPHERE_CONFIG, "zetas": "12"}, '"zetas" must be a JSON array'),
+    ({**SPHERE_CONFIG, "p": {"roots": "0111"}}, '"roots" must be a JSON array'),
+    ({**SPHERE_CONFIG, "p": {"roots": ["01", "11"]}}, "[root, multiplicity] arrays"),
+    ({**SPHERE_CONFIG, "p": {"roots": [["0", 1, 1]]}}, "[root, multiplicity] arrays"),
+    ({**SPHERE_CONFIG, "p": {"roots": [["0", True], ["1", 1]]}}, "not an integer: True"),
+    ({**SPHERE_CONFIG, "p": {"roots": [["0", 1.5], ["1", 1]]}}, "not an integer: 1.5"),
+    ({**SPHERE_CONFIG, "q_plus": True}, "not an exact rational: True"),
+    ({**SPHERE_CONFIG, "r": False}, "not an exact rational: False"),
+    ({**SPHERE_CONFIG, "p": {"coeffs": [0, True, -1]}}, "not an exact rational: True"),
+    ({**SPHERE_CONFIG, "zeta": ["1"]}, "not an exact rational: ['1']"),
+])
+def test_config_value_of_the_wrong_json_type_is_usage_error(capsys, tmp_path, data, message):
+    path = write_config(tmp_path, data)
+    assert message in usage_error(capsys, "--config", path, "normalize", "z")
+
+
+def test_config_integers_are_read_as_numbers():
+    data = {"name": "sphere", "p": {"roots": [[0, 1], [1, "1"]]},
+            "q_plus": 2, "q_minus": "2", "zetas": [1]}
+    assert config_from_dict(data) == preset("sphere")
+
+
+def test_rep_check_needs_a_root(capsys):
+    # sphere: p(3) = 3 - 9 = -6, seen only on column 0, outside the interior residuals
+    assert "zeta = 3 is not a root of p: p(zeta) = -6" in usage_error(
+        capsys, "--preset", "sphere", "rep-check", "--zeta", "3")
+
+
 def test_trace_check_refuses_the_zero_root(capsys):
     assert "zero map" in usage_error(capsys, "--preset", "sphere", "trace-check", "--zeta", "0")
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylbundles.ambient import AmbientAlgebra, embed_degree_zero
 from weylbundles.connection import (
@@ -23,6 +25,8 @@ from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import GwaElem
 from weylbundles.poly import UniPoly, poly_divmod
 from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
+
+from drawn_configs import ambient_configs
 
 
 def test_lowering_connection_sphere(sphere_amb):
@@ -76,6 +80,28 @@ def test_connection_power_checks_and_agreement(any_preset, n):
     assert len(t.pairs) == 2 ** abs(n)
     assert check_connection(t)
     assert t == connection_power_alt(amb, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ambient_configs(), st.integers(-3, 3))
+def test_drawn_configs_connections(config, n):
+    amb, roots = config
+    t = connection_power(amb, n)
+    # at p = c z^k the tail h is 0 and one leg of each level-one tensor vanishes
+    assert len(t.pairs) == (2 ** abs(n) if roots else 1)
+    assert check_connection(t)
+    assert t == connection_power_alt(amb, n)
+    for left, right in t.pairs:
+        assert left.degree() == -n * amb.k and right.degree() == n * amb.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_configs(), st.integers(-2, 2))
+def test_drawn_configs_idempotents(config, n):
+    amb, roots = config
+    e = idempotent(amb, n)
+    assert e.size == (2 ** abs(n) if roots else 1)
+    assert e.is_idempotent()
 
 
 def test_level_cap():

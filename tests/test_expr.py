@@ -60,6 +60,13 @@ def test_error_carries_position(gwa_parse):
     assert err.value.position == 4 and "position 4" in str(err.value)
 
 
+@pytest.mark.parametrize("text,position", [("1/0", 0), ("0/0", 0), ("x + 3/00*y", 4)])
+def test_zero_denominator_is_a_parse_error(gwa_parse, text, position):
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        gwa_parse(text)
+    assert err.value.position == position
+
+
 def test_generators():
     assert generators("x^2*(1 - 3/2*z) + y") == {"x", "y", "z"}
     assert generators("3/4") == set()

@@ -164,6 +164,13 @@ def test_truncated_rep_preconditions():
         truncated_rep(GwaAlgebra(P_SPHERE, 4, 0), 1, 8)
     with pytest.raises(ValueError, match="r = 0"):
         truncated_rep(GwaAlgebra(P_SPHERE, Fraction(1, 4), 1), 1, 8)
-    # p(q^j * 2) < 0 for small j: the failing index is named
+    # at the root 0 the orbit stays at 0, so p(q * 0) = 0 fails first: the index is named
     with pytest.raises(ValueError, match="index 1"):
-        truncated_rep(GwaAlgebra(P_SPHERE, Fraction(1, 2), 0), 2, 8)
+        truncated_rep(GwaAlgebra(P_SPHERE, Fraction(1, 2), 0), 0, 8)
+
+
+@pytest.mark.parametrize("zeta", [2, 3, Fraction(1, 2)])
+def test_truncated_rep_needs_a_root(zeta):
+    # yx = p(z) fails on basis vector 0 by p(zeta), outside the interior residuals
+    with pytest.raises(ValueError, match=f"not a root of p: p\\(zeta\\) = {P_SPHERE(zeta)}"):
+        truncated_rep(GwaAlgebra(P_SPHERE, Fraction(1, 4), 0), zeta, 8)

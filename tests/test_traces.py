@@ -3,7 +3,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylbundles.ambient import AmbientAlgebra
@@ -20,6 +20,8 @@ from weylbundles.traces import (
     chern_pairings,
     verify_trace,
 )
+
+from drawn_configs import ambient_configs
 
 P_SPHERE = UniPoly({1: 1, 2: -1})
 
@@ -294,25 +296,6 @@ def test_chern_pairings_check_q_only_for_a_root():
     assert chern_pairings(amb, [], 2) == []
     with pytest.raises(ValueError, match="root of unity"):
         chern_pairings(amb, [1], 2)
-
-
-NONZERO_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
-
-
-@st.composite
-def ambient_configs(draw):
-    """p = z^k prod (1 - z/rho)^m over at most two distinct nonzero rational
-    roots rho, with k in 1..3 and deg p <= 5; q+ and q- nonzero, q+ q- != +-1."""
-    k = draw(st.integers(1, 3))
-    roots = draw(st.lists(NONZERO_RATIONAL, max_size=min(2, 5 - k), unique=True))
-    p, free = UniPoly({k: 1}), 5 - k - len(roots)
-    for rho in roots:
-        mult = draw(st.integers(1, 1 + free))
-        free -= mult - 1
-        p = p * UniPoly({0: 1, 1: -1 / rho}) ** mult
-    q_plus, q_minus = draw(NONZERO_RATIONAL), draw(NONZERO_RATIONAL)
-    assume(q_plus * q_minus not in (1, -1))
-    return AmbientAlgebra(p, q_plus, q_minus), roots
 
 
 @settings(max_examples=100, deadline=None)
