@@ -14,7 +14,6 @@ from .connection import (
     idempotent_trace,
     idempotent_trace_recursive,
     lowering_connection,
-    module_row,
     raising_connection,
     unit_in_degree,
 )
@@ -22,7 +21,6 @@ from .gwa import (
     AlgebraMismatch,
     GwaAlgebra,
     GwaElem,
-    commutator,
     commutator_closed_form,
 )
 from .grading import (
@@ -41,7 +39,6 @@ from .poly import (
     auto_shift_product,
     factor_zero_root,
     frac,
-    poly_divmod,
     tail_decompose,
 )
 from .traces import CyclicTrace, chern_pairing, chern_pairings, verify_trace
@@ -53,12 +50,11 @@ __all__ = [
     "Config", "CyclicTrace", "GradedView", "GwaAlgebra", "GwaElem",
     "IdemMatrix", "PairPoly", "Tensor2", "UniPoly", "Witness",
     "ambient_graded_view", "auto_shift_product",
-    "check_connection", "chern_pairing", "chern_pairings", "commutator",
+    "check_connection", "chern_pairing", "chern_pairings",
     "commutator_closed_form", "compose_witnesses", "connection_power",
     "connection_power_alt", "embed_degree_zero", "factor_zero_root", "frac",
     "idempotent", "idempotent_trace", "idempotent_trace_recursive",
     "induced_quotient_view", "load_config", "lowering_connection",
-    "module_row", "poly_divmod", "preset", "project_degree_zero",
-    "raising_connection", "tail_decompose", "unit_in_degree",
-    "veronese_view", "verify_trace", "witness_search",
+    "preset", "project_degree_zero", "raising_connection", "tail_decompose",
+    "unit_in_degree", "veronese_view", "verify_trace", "witness_search",
 ]

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from . import acceptance, numrep
 from .config import PRESETS, Config, load_config, preset
@@ -170,16 +169,9 @@ def _cmd_grading_check(cfg: Config, args, out: _Reporter) -> None:
 def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
     # every input, the CSV directory included, is checked before the first record
     zeta = frac(args.zeta)
-    if args.dim < 3:
-        raise ValueError(f"--dim must be >= 3 so the truncation has an interior index, "
-                         f"got {args.dim}")
-    if args.dim > numrep.MAX_DIM:
-        raise ValueError(f"--dim must be <= {numrep.MAX_DIM}, got {args.dim}")
-    if cfg.r != 0:
-        raise ValueError("the truncated representation needs r = 0")
     alg = cfg.gwa_algebra()
     q = cfg.q if 0 < cfg.q < 1 else 1 / cfg.q
-    trunc = numrep.truncated_rep(GwaAlgebra(cfg.p, q, Fraction(0)), zeta, args.dim)
+    trunc = numrep.truncated_rep(GwaAlgebra(cfg.p, q, cfg.r), zeta, args.dim)
     csv_paths = numrep.dump_matrices_csv(trunc, args.dump_csv) if args.dump_csv else None
     for lam in (1, -1):
         rep = numrep.one_dim_rep(alg, lam)  # raises, if at all, already for lam = 1
@@ -288,11 +280,22 @@ def _config(args) -> Config | None:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place an exit code is chosen."""
+    """Run one command; the only place an exit code is chosen.
+
+    An exact result may print an integer longer than Python's default cap on
+    int-to-str conversion, so the cap is lifted once the configuration is
+    read (a config file has no size bound and stays under it) and restored
+    on the way out.
+    """
+    set_digits = getattr(sys, "set_int_max_str_digits", None)  # no cap before 3.10.7
+    digits = sys.get_int_max_str_digits() if set_digits else 0
     try:
         args = build_parser().parse_args(argv)
         out = _Reporter(args.text)
-        args.func(_config(args), args, out)
+        cfg = _config(args)
+        if set_digits:
+            set_digits(0)
+        args.func(cfg, args, out)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return USAGE
@@ -301,6 +304,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}),
               file=sys.stderr)
         return INTERNAL
+    finally:
+        if set_digits:
+            set_digits(digits)
     return FAIL if out.failed else PASS
 
 

@@ -13,8 +13,8 @@ Two fixed caps bound the cost of a level.  The level-n tensor has 2^|n|
 pairs, so :func:`connection_power` and :func:`connection_power_alt` (and
 with them :func:`idempotent_trace` and the index pairing) take
 |n| <= MAX_LEVEL.  The idempotent matrix has 4^|n| entries and squaring it
-forms 8^|n| products, so :func:`idempotent` and :func:`module_row` take
-|n| <= MAX_IDEMPOTENT_LEVEL.  A level beyond its cap raises ValueError.
+forms 8^|n| products, so :func:`idempotent` takes |n| <= MAX_IDEMPOTENT_LEVEL.
+A level beyond its cap raises ValueError.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from math import lcm
 from typing import Optional
 
 from .ambient import AmbientAlgebra, AmbientElem, project_degree_zero
-from .gwa import AlgebraMismatch, GwaElem
+from .gwa import GwaElem
 from .poly import PairPoly, UniPoly, _integer_terms
 
 # the largest levels whose tensor, and whose idempotent square, take seconds
@@ -76,13 +76,6 @@ class Tensor2:
         if isinstance(other, Tensor2):
             return self.alg == other.alg and self.canonical() == other.canonical()
         return NotImplemented
-
-    def multiply_out(self) -> AmbientElem:
-        """The image under multiplication, sum of left * right."""
-        out = self.alg.zero()
-        for left, right in self.pairs:
-            out = out + left * right
-        return out
 
     def __str__(self) -> str:
         if not self.pairs:
@@ -182,7 +175,10 @@ def connection_power_alt(amb: AmbientAlgebra, n: int) -> Tensor2:
 
 def check_connection(t: Tensor2) -> bool:
     """True iff the sum of leg products is exactly 1."""
-    return t.multiply_out() == t.alg.one()
+    out = t.alg.zero()
+    for left, right in t.pairs:
+        out = out + left * right
+    return out == t.alg.one()
 
 
 @dataclass(frozen=True)
@@ -197,17 +193,16 @@ class IdemMatrix:
         return len(self.entries)
 
     def matmul(self, other: "IdemMatrix") -> "IdemMatrix":
-        rows = tuple(tuple(_row_times(row, other.entries)) for row in self.entries)
+        mat, n = other.entries, other.size
+        rows = tuple(
+            tuple(sum((row[l] * mat[l][j] for l in range(1, n)), row[0] * mat[0][j])
+                  for j in range(n))
+            for row in self.entries
+        )
         return IdemMatrix(self.n, rows)
 
     def is_idempotent(self) -> bool:
         return self.matmul(self).entries == self.entries
-
-    def trace(self) -> GwaElem:
-        acc = self.entries[0][0]
-        for i in range(1, self.size):
-            acc = acc + self.entries[i][i]
-        return acc
 
     def to_json(self) -> dict:
         return {
@@ -217,18 +212,6 @@ class IdemMatrix:
         }
 
 
-def _row_times(row, mat) -> list[GwaElem]:
-    """The row vector ``row`` times the square matrix ``mat`` (a tuple of rows)."""
-    n = len(mat)
-    out = []
-    for j in range(n):
-        acc = row[0] * mat[0][j]
-        for l in range(1, n):
-            acc = acc + row[l] * mat[l][j]
-        out.append(acc)
-    return out
-
-
 def idempotent(amb: AmbientAlgebra, n: int) -> IdemMatrix:
     """The idempotent presenting the level-n module over the degree-zero part.
 
@@ -236,17 +219,12 @@ def idempotent(amb: AmbientAlgebra, n: int) -> IdemMatrix:
     connection identity at level n makes the matrix square to itself.
     """
     _check_level(n, MAX_IDEMPOTENT_LEVEL, 4, "idempotent entries")
-    return _idempotent_of(amb, n, connection_power(amb, n))
-
-
-def _idempotent_of(amb: AmbientAlgebra, n: int, t: Tensor2) -> IdemMatrix:
-    rows = []
-    for _, right_i in t.pairs:
-        row = tuple(
-            project_degree_zero(amb, right_i * left_j) for left_j, _ in t.pairs
-        )
-        rows.append(row)
-    return IdemMatrix(n, tuple(rows))
+    t = connection_power(amb, n)
+    rows = tuple(
+        tuple(project_degree_zero(amb, right_i * left_j) for left_j, _ in t.pairs)
+        for _, right_i in t.pairs
+    )
+    return IdemMatrix(n, rows)
 
 
 def idempotent_trace(amb: AmbientAlgebra, n: int) -> UniPoly:
@@ -307,25 +285,6 @@ def idempotent_trace_recursive(amb: AmbientAlgebra, n: int) -> UniPoly:
                 out[i + d] += w * v
         nums, den = out, den * qn**top * ab_den
     return UniPoly({d: Fraction(v, den) for d, v in enumerate(nums) if v})
-
-
-def module_row(amb: AmbientAlgebra, n: int, a: AmbientElem) -> list[GwaElem]:
-    """Row vector presenting a level-n homogeneous element over B.
-
-    Component j is the sum over i of (a * left_i) * E_{ij}; right-multiplying
-    the row by the idempotent leaves it fixed.
-    """
-    _check_level(n, MAX_IDEMPOTENT_LEVEL, 4, "idempotent entries")
-    if a.alg != amb:
-        raise AlgebraMismatch("element does not live in the graded algebra")
-    deg = a.degree()
-    if deg is None:
-        deg = n * amb.k
-    if deg != n * amb.k:
-        raise ValueError(f"element has degree {deg}, expected {n * amb.k}")
-    t = connection_power(amb, n)
-    coeffs = [project_degree_zero(amb, a * left) for left, _ in t.pairs]
-    return _row_times(coeffs, _idempotent_of(amb, n, t).entries)
 
 
 def unit_in_degree(amb: AmbientAlgebra, n: int

@@ -210,10 +210,6 @@ def _term_mul(alg, d1: int, f1, d2: int, f2) -> tuple:
     return d1 + d2, f
 
 
-def commutator(a: GwaElem, b: GwaElem) -> GwaElem:
-    return a * b - b * a
-
-
 def commutator_closed_form(alg: GwaAlgebra, n: int, k: int, l: int) -> GwaElem:
     """The commutator [x^n z^k, z^l y^n] evaluated without the product engine.
 

@@ -69,7 +69,6 @@ class TruncatedRep:
     p_coeffs: dict[int, Fraction]
     x: list[float]
     z: list[float]
-    positivity_checked_upto: int
 
     def p_at(self, v: float) -> float:
         return _p_float(self.p_coeffs, v)
@@ -83,17 +82,22 @@ MAX_DIM = 1024
 def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
     """Bands with z diagonal on the orbit and x lowering the index.
 
-    Requires r = 0, 0 < q < 1, a root zeta of p and p(q^j zeta) > 0 for
-    j = 1..dim, all checked exactly: at a non-root, yx = p(z) fails on the
-    first basis vector, which the interior residuals never see.  Only finitely
-    many positivity conditions are checked, which the report records.
+    Requires r = 0, 0 < q < 1, 3 <= dim <= MAX_DIM, a root zeta of p and
+    p(q^j zeta) > 0 for j = 1..dim, all checked exactly: at a non-root,
+    yx = p(z) fails on the first basis vector, which the interior residuals
+    never see.  Only finitely many positivity conditions are checked, which
+    the report records.
     """
     if alg.r != 0:
         raise ValueError("truncated representation needs r = 0")
     if not (0 < alg.q < 1):
         raise ValueError(f"truncated representation needs q in (0, 1), got {alg.q}")
-    if not 2 <= dim <= MAX_DIM:
-        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {dim}")
+    if dim < 3:
+        raise ValueError(f"dimension must be >= 3 so the truncation has an interior "
+                         f"index, got {dim}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension must be <= {MAX_DIM}, got {dim}: q^j zeta is "
+                         "formed exactly for every j up to dim")
     zeta = frac(zeta)
     orbit = [alg.q**j * zeta for j in range(dim + 1)]
     values = [alg.p(w) for w in orbit]
@@ -105,7 +109,7 @@ def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
     return TruncatedRep(
         dim=dim, q=alg.q, zeta=zeta, p_coeffs=dict(alg.p.coeffs),
         x=[0.0] + [math.sqrt(float(v)) for v in values[1:dim]],
-        z=[float(w) for w in orbit[:dim]], positivity_checked_upto=dim,
+        z=[float(w) for w in orbit[:dim]],
     )
 
 
@@ -143,16 +147,10 @@ def relation_residuals(rep: TruncatedRep) -> dict:
         "yz": lambda j: x[j + 1] * z[j] - ((1 / q) * z[j + 1]) * x[j + 1],
     }
     interior = range(1, rep.dim - 1)
-    note = "positivity of p on the orbit beyond the truncation is not checked"
-    if not interior:
-        residuals = {name: None for name in entries}
-        note = "truncation too small to have interior indices; " + note
-    else:
-        residuals = {name: max(abs(entry(j)) for j in interior)
-                     for name, entry in entries.items()}
     return {
-        "relations": residuals,
+        "relations": {name: max(abs(entry(j)) for j in interior)
+                      for name, entry in entries.items()},
         "interior_indices": [1, rep.dim - 2],
-        "positivity_checked_upto": rep.positivity_checked_upto,
-        "note": note,
+        "positivity_checked_upto": rep.dim,
+        "note": "positivity of p on the orbit beyond the truncation is not checked",
     }

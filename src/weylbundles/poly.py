@@ -246,12 +246,6 @@ class UniPoly(_SparsePoly):
         return UniPoly._make({i: Fraction(w, den) for i, v in data.items()
                               if (w := v * an**i * ad ** (top - i))})
 
-    def shift_down(self, k: int) -> "UniPoly":
-        """Exact division by ``z^k``; requires every exponent >= k."""
-        if any(d < k for d in self.coeffs):
-            raise ValueError(f"not divisible by z^{k}")
-        return UniPoly({d - k: c for d, c in self.coeffs.items()})
-
     # -- output ---------------------------------------------------------
     def __str__(self) -> str:
         pieces = []
@@ -324,7 +318,7 @@ def factor_zero_root(p: UniPoly) -> tuple[int, UniPoly]:
     if not p:
         raise ValueError("undefined factorization: zero polynomial")
     k = min(p.coeffs)
-    return k, p.shift_down(k)
+    return k, UniPoly({d - k: c for d, c in p.coeffs.items()})
 
 
 def tail_decompose(pt: UniPoly) -> UniPoly:

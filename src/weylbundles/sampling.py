@@ -7,7 +7,7 @@ from random import Random
 from .ambient import AmbientAlgebra, AmbientElem
 from .grading import ambient_graded_view
 from .gwa import GwaAlgebra, GwaElem
-from .poly import PairPoly, UniPoly
+from .poly import UniPoly
 
 
 def random_fraction(rng: Random) -> Fraction:
@@ -31,17 +31,6 @@ def random_gwa_elem(alg: GwaAlgebra, rng: Random) -> GwaElem:
         if f:
             data[d] = data.get(d, UniPoly.zero()) + f
     return alg.elem(data)
-
-
-def random_amb_elem(amb: AmbientAlgebra, rng: Random) -> AmbientElem:
-    """Up to three monomials x(pm)^|m| z+^a z-^b, |m| <= 1, a, b <= 2."""
-    data: dict[int, PairPoly] = {}
-    for _ in range(rng.randint(1, 3)):
-        m = rng.randint(-1, 1)
-        mono = PairPoly.monomial(rng.randint(0, 2), rng.randint(0, 2), random_fraction(rng))
-        if mono:
-            data[m] = data.get(m, PairPoly.zero()) + mono
-    return amb.elem(data)
 
 
 def random_homogeneous_amb(amb: AmbientAlgebra, rng: Random, degree: int) -> AmbientElem:

@@ -1,9 +1,14 @@
-"""Hypothesis strategy for drawn ambient configurations, shared by the tests."""
+"""Hypothesis strategies for drawn configurations, and a random ambient
+element, shared by the tests."""
+from random import Random
+
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from weylbundles.ambient import AmbientAlgebra
-from weylbundles.poly import UniPoly
+from weylbundles.ambient import AmbientAlgebra, AmbientElem
+from weylbundles.gwa import GwaAlgebra
+from weylbundles.poly import PairPoly, UniPoly
+from weylbundles.sampling import random_fraction
 
 NONZERO_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
@@ -22,3 +27,26 @@ def ambient_configs(draw):
     q_plus, q_minus = draw(NONZERO_RATIONAL), draw(NONZERO_RATIONAL)
     assume(q_plus * q_minus not in (1, -1))
     return AmbientAlgebra(p, q_plus, q_minus), roots
+
+
+@st.composite
+def gwa_algebras(draw):
+    """B(p; q, r) with p nonzero of degree <= 4, q nonzero and r rational,
+    zero among the draws but mostly not."""
+    coeffs = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                           min_size=1, max_size=5))
+    p = UniPoly.from_coeff_list(coeffs)
+    assume(p)
+    return GwaAlgebra(p, draw(NONZERO_RATIONAL),
+                      draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)))
+
+
+def random_amb_elem(amb: AmbientAlgebra, rng: Random) -> AmbientElem:
+    """Up to three monomials x(pm)^|m| z+^a z-^b, |m| <= 1, a, b <= 2."""
+    data: dict[int, PairPoly] = {}
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(-1, 1)
+        mono = PairPoly.monomial(rng.randint(0, 2), rng.randint(0, 2), random_fraction(rng))
+        if mono:
+            data[m] = data.get(m, PairPoly.zero()) + mono
+    return amb.elem(data)

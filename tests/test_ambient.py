@@ -7,7 +7,9 @@ from weylbundles.ambient import AmbientAlgebra, embed_degree_zero, project_degre
 from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
 from weylbundles.poly import PairPoly, UniPoly
-from weylbundles.sampling import random_amb_elem, random_gwa_elem, random_homogeneous_amb
+from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
+
+from drawn_configs import random_amb_elem
 
 
 def test_construction_requires_zero_root():

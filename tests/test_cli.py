@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -360,6 +361,47 @@ def test_scalar_power_within_the_bit_bound_normalizes(capsys):
     assert code == 0 and records[0]["result"] == f"({2 ** 4096})"
 
 
+def unbounded_str(n: int) -> str:
+    """``str(n)`` past Python's default cap on int-to-str conversion."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        return str(n)
+    digits = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        return str(n)
+    finally:
+        set_digits(digits)
+
+
+@pytest.mark.parametrize("text,result", [
+    ("(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64", f"({unbounded_str(2 ** 16384)})"),
+    ("((2^64)^64*x)^64", f"x^64*({unbounded_str(2 ** 262144)})"),
+])
+def test_results_longer_than_the_str_cap_print(capsys, text, result):
+    assert len(result) > 4300
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "normalize", text)
+    assert code == 0 and records[0]["result"] == result
+
+
+@pytest.mark.parametrize("args", [("normalize", "(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64"),
+                                  ("normalize", "x^-1"), ("--preset", "nope", "normalize", "z")])
+def test_str_cap_is_restored_after_main(capsys, args):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no cap on int-to-str conversion")
+    digits = sys.get_int_max_str_digits()
+    main(list(args))
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == digits
+
+
+def test_config_value_longer_than_the_str_cap_is_usage_error(capsys, tmp_path):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no cap on int-to-str conversion")
+    path = write_config(tmp_path, {**SPHERE_CONFIG, "q_plus": "1" + "0" * 5000})
+    assert "Exceeds the limit" in usage_error(capsys, "--config", path, "normalize", "z")
+
+
 def degree_source(tmp_path, source):
     kind, value = source
     if kind == "--preset":
@@ -472,14 +514,14 @@ def test_trace_check_defaults_to_the_nonzero_roots(capsys, tmp_path):
 
 @pytest.mark.parametrize("dim", ["1", "2"])
 def test_rep_check_small_dim_is_usage_error(capsys, dim):
-    assert "--dim must be >= 3" in usage_error(
-        capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", dim)
+    message = usage_error(capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", dim)
+    assert f"dimension must be >= 3 so the truncation has an interior index, got {dim}" in message
 
 
 @pytest.mark.parametrize("dim", [str(numrep.MAX_DIM + 1), "100000000", str(10**30)])
 def test_rep_check_huge_dim_is_usage_error(capsys, tmp_path, dim):
     out = tmp_path / "m"
-    assert f"--dim must be <= {numrep.MAX_DIM}" in usage_error(
+    assert f"dimension must be <= {numrep.MAX_DIM}, got {dim}:" in usage_error(
         capsys, "--preset", "sphere", "rep-check", "--zeta", "1", "--dim", dim,
         "--dump-csv", str(out))
     assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylbundles.ambient import AmbientAlgebra, embed_degree_zero
+from weylbundles.ambient import AmbientAlgebra, embed_degree_zero, project_degree_zero
 from weylbundles.connection import (
     MAX_IDEMPOTENT_LEVEL,
     MAX_LEVEL,
@@ -17,16 +17,41 @@ from weylbundles.connection import (
     idempotent_trace,
     idempotent_trace_recursive,
     lowering_connection,
-    module_row,
     raising_connection,
     unit_in_degree,
 )
 from weylbundles.config import PRESETS, preset
-from weylbundles.gwa import GwaElem
+from weylbundles.gwa import AlgebraMismatch, GwaElem
 from weylbundles.poly import UniPoly, poly_divmod
 from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
 
 from drawn_configs import ambient_configs
+
+
+def row_times(row, mat):
+    """The row vector ``row`` times the idempotent ``mat``."""
+    return [sum((row[i] * mat.entries[i][j] for i in range(1, mat.size)),
+                row[0] * mat.entries[0][j])
+            for j in range(mat.size)]
+
+
+def diagonal_sum(mat):
+    return sum((mat.entries[i][i] for i in range(1, mat.size)), mat.entries[0][0])
+
+
+def module_row(amb, n, a):
+    """Row vector presenting a level-n homogeneous element ``a`` over B.
+
+    Component j is the sum over i of (a * left_i) * E_ij; right-multiplying
+    the row by the idempotent leaves it fixed.
+    """
+    if a.alg != amb:
+        raise AlgebraMismatch("element does not live in the graded algebra")
+    if a.degree() not in (None, n * amb.k):
+        raise ValueError(f"element has degree {a.degree()}, expected {n * amb.k}")
+    mat = idempotent(amb, n)  # checks the level cap before any product
+    coeffs = [project_degree_zero(amb, a * left) for left, _ in connection_power(amb, n).pairs]
+    return row_times(coeffs, mat)
 
 
 def test_lowering_connection_sphere(sphere_amb):
@@ -148,7 +173,7 @@ def test_idempotent_matrix_sphere(sphere_amb):
     assert mat.entries[1][0] == gwa.monomial(-1, UniPoly.constant(2))
     assert mat.entries[1][1] == gwa.from_poly(UniPoly({0: 1, 1: -1}))
     assert mat.is_idempotent()
-    assert mat.trace() == gwa.from_poly(UniPoly({0: 1, 1: 3}))
+    assert diagonal_sum(mat) == gwa.from_poly(UniPoly({0: 1, 1: 3}))
 
 
 def test_idempotent_level_zero(sphere_amb):
@@ -188,7 +213,7 @@ def test_trace_oracle_agreement(any_preset, n):
 def test_trace_matches_matrix_trace(kleinian):
     amb = kleinian.ambient_algebra()
     mat = idempotent(amb, 2)
-    assert mat.trace() == amb.gwa().from_poly(idempotent_trace(amb, 2))
+    assert diagonal_sum(mat) == amb.gwa().from_poly(idempotent_trace(amb, 2))
 
 
 def test_trace_recursive_needs_positive_level(sphere_amb):
@@ -208,12 +233,7 @@ def test_module_row_fixed_by_idempotent(any_preset, n):
     for _ in range(3):
         a = random_homogeneous_amb(amb, rng, n * amb.k)
         row = module_row(amb, n, a)
-        fixed = [
-            sum((row[i] * mat.entries[i][j] for i in range(1, mat.size)),
-                row[0] * mat.entries[0][j])
-            for j in range(mat.size)
-        ]
-        assert fixed == row
+        assert row_times(row, mat) == row
 
 
 def test_module_row_left_linear(sphere_amb):
@@ -234,8 +254,6 @@ def test_module_row_degree_mismatch(sphere_amb):
 
 
 def test_module_row_algebra_mismatch(sphere_amb, kleinian):
-    from weylbundles.gwa import AlgebraMismatch
-
     other = kleinian.ambient_algebra()
     with pytest.raises(AlgebraMismatch):
         module_row(other, 0, sphere_amb.one())

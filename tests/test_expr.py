@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from weylbundles.config import preset
 from weylbundles.expr import MAX_EXPONENT, MAX_SCALAR_BITS, ParseError, generators, parse
-from weylbundles.sampling import random_amb_elem, random_gwa_elem
+from weylbundles.sampling import random_gwa_elem
+
+from drawn_configs import random_amb_elem
 
 
 def _gwa_atoms(alg):

@@ -2,17 +2,21 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylbundles.gwa import (
-    AlgebraMismatch,
-    GwaAlgebra,
-    commutator,
-    commutator_closed_form,
-)
+from weylbundles.acceptance import _gwa_rules, _oracle_mismatches
+from weylbundles.gwa import AlgebraMismatch, GwaAlgebra, commutator_closed_form
 from weylbundles.poly import UniPoly, auto_shift_product
 from weylbundles.sampling import random_gwa_elem
 
+from drawn_configs import gwa_algebras
+
 P_SPHERE = UniPoly({1: 1, 2: -1})    # z(1 - z)
+
+
+def commutator(a, b):
+    return a * b - b * a
 
 
 @pytest.fixture
@@ -71,6 +75,26 @@ def test_associativity_random(alg, alg_shifted):
     for i in range(60):
         algebra = alg if i % 2 else alg_shifted
         a, b, c = (random_gwa_elem(algebra, rng) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gwa_algebras())
+def test_drawn_algebras_match_free_word_oracle(alg):
+    # every word of length <= 4 in x, y, z, against naive single-relation rewriting
+    mismatches, total = _oracle_mismatches(
+        alg, {"x": alg.x(), "y": alg.y(), "z": alg.z()}, _gwa_rules(alg),
+        lambda w, c: alg.monomial(w.count("x") - w.count("y"), UniPoly({w.count("z"): c})),
+        4)
+    assert (mismatches, total) == (0, 3 + 9 + 27 + 81)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gwa_algebras(), st.integers(0, 2**32))
+def test_drawn_algebras_associative(alg, seed):
+    rng = Random(seed)
+    for _ in range(5):
+        a, b, c = (random_gwa_elem(alg, rng) for _ in range(3))
         assert (a * b) * c == a * (b * c)
 
 

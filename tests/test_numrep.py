@@ -35,9 +35,12 @@ def dense(np, rep):
 
 
 def test_package_does_not_import_numpy():
+    # nor any other package of the test extra: the runtime needs only the standard library
     code = ("import sys, weylbundles, weylbundles.cli, weylbundles.acceptance, "
-            "weylbundles.numrep; sys.exit('numpy' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+            "weylbundles.numrep; "
+            "sys.exit(sorted({'numpy', 'sympy', 'hypothesis'} & set(sys.modules)) or None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_one_dim_rep_sphere():
@@ -124,11 +127,11 @@ def test_truncation_dimension_is_capped():
         truncated_rep(alg, 1, MAX_DIM + 1)
 
 
-def test_tiny_truncation_has_no_interior():
+@pytest.mark.parametrize("dim", [-1, 0, 1, 2])
+def test_truncation_without_interior_is_rejected(dim):
     alg = GwaAlgebra(P_SPHERE, Fraction(1, 4), 0)
-    report = relation_residuals(truncated_rep(alg, 1, 2))
-    assert all(v is None for v in report["relations"].values())
-    assert "too small" in report["note"]
+    with pytest.raises(ValueError, match=f"has an interior index, got {dim}"):
+        truncated_rep(alg, 1, dim)
 
 
 def test_dump_matrices_csv(np, sphere_rep, tmp_path):
