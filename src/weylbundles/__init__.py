@@ -13,8 +13,6 @@ from .connection import (
     idempotent,
     idempotent_trace,
     idempotent_trace_recursive,
-    lowering_connection,
-    raising_connection,
     unit_in_degree,
 )
 from .gwa import (
@@ -54,7 +52,6 @@ __all__ = [
     "commutator_closed_form", "compose_witnesses", "connection_power",
     "connection_power_alt", "embed_degree_zero", "factor_zero_root", "frac",
     "idempotent", "idempotent_trace", "idempotent_trace_recursive",
-    "induced_quotient_view", "load_config", "lowering_connection",
-    "preset", "project_degree_zero", "raising_connection", "tail_decompose",
-    "unit_in_degree", "veronese_view", "verify_trace", "witness_search",
+    "induced_quotient_view", "load_config", "preset", "project_degree_zero",
+    "tail_decompose", "unit_in_degree", "veronese_view", "verify_trace", "witness_search",
 ]

@@ -170,7 +170,7 @@ def _cmd_rep_check(cfg: Config, args, out: _Reporter) -> None:
     # every input, the CSV directory included, is checked before the first record
     zeta = frac(args.zeta)
     alg = cfg.gwa_algebra()
-    q = cfg.q if 0 < cfg.q < 1 else 1 / cfg.q
+    q = 1 / cfg.q if cfg.q > 1 else cfg.q
     trunc = numrep.truncated_rep(GwaAlgebra(cfg.p, q, cfg.r), zeta, args.dim)
     csv_paths = numrep.dump_matrices_csv(trunc, args.dump_csv) if args.dump_csv else None
     for lam in (1, -1):

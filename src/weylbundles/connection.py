@@ -89,50 +89,58 @@ def _geometric_sum(amb: AmbientAlgebra) -> UniPoly:
     return sum((zh**i * pt0 ** (amb.k - 1 - i) for i in range(amb.k)), UniPoly.zero())
 
 
-def lowering_connection(amb: AmbientAlgebra) -> Tensor2:
-    """The level-one connection tensor with legs in degrees (-1, +1).
+def _level_one(amb: AmbientAlgebra, sign: int) -> Tensor2:
+    """The level-one connection tensor, legs in degrees (-sign, sign).
 
-    With p = z^k pt, pt(z) = pt(0) - z h(z) and q = q_plus q_minus:
+    With p = z^k pt, pt(z) = pt(0) - z h(z), q = q_plus q_minus and z
+    standing for z+ z-, the lowering tensor (sign 1) is
 
         (1/pt(0)^k) [ q^k h(qz)^k z-^k  (x)  z+^k
                       + x-  (x)  G(z) x+ ]
 
-    where G(z) = sum_{i<k} z^i h(z)^i pt(0)^{k-1-i} and z stands for z+ z-.
-    """
-    k = amb.k
-    scale = amb.p_reduced.constant_term ** (-k)
-    h_q = amb.p_tail.compose_linear(amb.q, 0)
-    left1 = amb.from_pair(
-        PairPoly.diagonal(h_q**k * (amb.q**k * scale)) * PairPoly.monomial(0, k)
-    )
-    right1 = amb.basis_elem(0, k, 0)
-    left2 = amb.x_minus() * scale
-    right2 = amb.from_z_poly(_geometric_sum(amb)) * amb.x_plus()
-    return Tensor2(amb, ((left1, right1), (left2, right2)), (-1, 1))
-
-
-def raising_connection(amb: AmbientAlgebra) -> Tensor2:
-    """The level-one connection tensor with legs in degrees (+1, -1).
+    where G(z) = sum_{i<k} z^i h(z)^i pt(0)^{k-1-i}, and the raising
+    tensor (sign -1) is
 
         (1/pt(0)^k) [ h(z)^k z+^k  (x)  z-^k
                       + x+  (x)  Q(z) x- ]
 
-    with Q = (pt(0)^k - q^k z^k h(qz)^k) / pt(qz) = G(qz), for G the
-    geometric sum of :func:`lowering_connection`: with a = pt(0) and
-    u = pt(qz) = a - qz h(qz), a^k - (a - u)^k = u sum_{i<k} a^(k-1-i) (a - u)^i.
+    with Q = (pt(0)^k - q^k z^k h(qz)^k) / pt(qz) = G(qz): with a = pt(0)
+    and u = pt(qz) = a - qz h(qz), a^k - (a - u)^k = u sum_{i<k} a^(k-1-i) (a - u)^i.
     """
-    k = amb.k
+    k, q = amb.k, amb.q
     scale = amb.p_reduced.constant_term ** (-k)
-    left1 = amb.from_pair(PairPoly.diagonal(amb.p_tail**k * scale) * PairPoly.monomial(k, 0))
-    right1 = amb.basis_elem(0, 0, k)
-    left2 = amb.x_plus() * scale
-    right2 = amb.from_z_poly(_geometric_sum(amb).compose_linear(amb.q, 0)) * amb.x_minus()
-    return Tensor2(amb, ((left1, right1), (left2, right2)), (1, -1))
+    geo = _geometric_sum(amb)
+    if sign > 0:
+        h, c, (a, b) = amb.p_tail.compose_linear(q, 0), q**k, (0, k)
+        x_left, x_right = amb.x_minus(), amb.x_plus()
+    else:
+        h, c, (a, b), geo = amb.p_tail, 1, (k, 0), geo.compose_linear(q, 0)
+        x_left, x_right = amb.x_plus(), amb.x_minus()
+    left1 = amb.from_pair(PairPoly.diagonal(h**k * (c * scale)) * PairPoly.monomial(a, b))
+    right1 = amb.basis_elem(0, b, a)
+    pairs = ((left1, right1), (x_left * scale, amb.from_z_poly(geo) * x_right))
+    return Tensor2(amb, pairs, (-sign, sign))
 
 
 def _check_level(n: int, cap: int, base: int, what: str):
     if abs(n) > cap:
         raise ValueError(f"level {n} needs {base}^{abs(n)} {what}; the cap is |n| <= {cap}")
+
+
+def _wrap_levels(amb: AmbientAlgebra, n: int, inner_level, wrap) -> Tensor2:
+    """The level-n tensor: ``wrap(step, inner)`` lists the products of the
+    level-one pairs and the pairs of ``inner_level(amb, n -+ 1)``.
+
+    ``inner_level`` is the public caller itself, so each level is one call
+    of it, as perfbench's traced run counts them.
+    """
+    _check_level(n, MAX_LEVEL, 2, "tensor pairs")
+    if n == 0:
+        return Tensor2(amb, ((amb.one(), amb.one()),), (0, 0))
+    sign = 1 if n > 0 else -1
+    step = _level_one(amb, sign)
+    inner = inner_level(amb, n - sign)
+    return Tensor2(amb, wrap(step.pairs, inner.pairs), (-n, n))
 
 
 def connection_power(amb: AmbientAlgebra, n: int) -> Tensor2:
@@ -141,17 +149,8 @@ def connection_power(amb: AmbientAlgebra, n: int) -> Tensor2:
     Level 0 is 1 (x) 1; positive levels wrap the lowering tensor, negative
     levels the raising one.  The pair count doubles with each level.
     """
-    _check_level(n, MAX_LEVEL, 2, "tensor pairs")
-    if n == 0:
-        return Tensor2(amb, ((amb.one(), amb.one()),), (0, 0))
-    step = lowering_connection(amb) if n > 0 else raising_connection(amb)
-    inner = connection_power(amb, n - 1 if n > 0 else n + 1)
-    pairs = tuple(
-        (wl * left, right * wr)
-        for wl, wr in step.pairs
-        for left, right in inner.pairs
-    )
-    return Tensor2(amb, pairs, (-n, n))
+    return _wrap_levels(amb, n, connection_power, lambda step, inner: tuple(
+        (wl * left, right * wr) for wl, wr in step for left, right in inner))
 
 
 def connection_power_alt(amb: AmbientAlgebra, n: int) -> Tensor2:
@@ -160,17 +159,8 @@ def connection_power_alt(amb: AmbientAlgebra, n: int) -> Tensor2:
     Equal to :func:`connection_power` as a canonical tensor; computing both
     and comparing is a consistency check on the recursion.
     """
-    _check_level(n, MAX_LEVEL, 2, "tensor pairs")
-    if n == 0:
-        return Tensor2(amb, ((amb.one(), amb.one()),), (0, 0))
-    step = lowering_connection(amb) if n > 0 else raising_connection(amb)
-    inner = connection_power_alt(amb, n - 1 if n > 0 else n + 1)
-    pairs = tuple(
-        (left * wl, wr * right)
-        for left, right in inner.pairs
-        for wl, wr in step.pairs
-    )
-    return Tensor2(amb, pairs, (-n, n))
+    return _wrap_levels(amb, n, connection_power_alt, lambda step, inner: tuple(
+        (left * wl, wr * right) for left, right in inner for wl, wr in step))
 
 
 def check_connection(t: Tensor2) -> bool:

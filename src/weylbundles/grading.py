@@ -89,9 +89,6 @@ class GradedView:
     def normalize_degree(self, g: int) -> int:
         return g if self.modulus is None else g % self.modulus
 
-    def negate_degree(self, g: int) -> int:
-        return -g if self.modulus is None else (-g) % self.modulus
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -213,7 +210,7 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
         one = view.amb.one()
         return Witness(((one, one, Fraction(1)),))
     partners: dict = {}  # minus the bidegree of b -> the right monomials b
-    for b in view.enumerate_basis(view.negate_degree(g), size_bound):
+    for b in view.enumerate_basis(view.normalize_degree(-g), size_bound):
         m, d = view.bidegree(b)
         partners.setdefault((-m, -d), []).append(b)
     index_pairs = [

@@ -23,12 +23,6 @@ from .poly import UniPoly, frac
 from .sampling import random_gwa_elem
 
 
-def _check_q_admissible(q: Fraction):
-    # a rational is a root of unity exactly when it is 1 or -1
-    if q in (0, 1, -1):
-        raise ValueError(f"q = {q} is zero or a root of unity")
-
-
 def _antidifference(q: Fraction, r: Fraction, f: UniPoly) -> UniPoly:
     """The F with F(0) = 0 and F - F(qz + r) - f constant.
 
@@ -56,7 +50,9 @@ class CyclicTrace:
         self.q = frac(q)
         self.r = frac(r)
         self.zeta = frac(zeta)
-        _check_q_admissible(self.q)
+        # a rational is a root of unity exactly when it is 1 or -1
+        if self.q in (0, 1, -1):
+            raise ValueError(f"q = {self.q} is zero or a root of unity")
 
     @classmethod
     def for_algebra(cls, alg: GwaAlgebra, zeta) -> "CyclicTrace":
@@ -144,23 +140,19 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
 def chern_pairings(amb: AmbientAlgebra, zetas, n: int) -> list[Fraction]:
     """Trace of the level-n idempotent under the cyclic trace at each zeta.
 
-    Every zeta must be a nonzero root of p, and all are checked before the
-    level-n trace polynomial is built; when a root is given, q is checked
-    and the trace is solved once for all of them.  Each value is the
-    integer index of the level-n module (equal to -n).
+    The trace at every zeta is built first, which checks that zeta is a
+    nonzero root of p and that q is admissible; then the level-n trace
+    polynomial is built once and each trace evaluates it.  Each value is
+    the integer index of the level-n module (equal to -n).
     """
-    zetas = [frac(zeta) for zeta in zetas]
-    for zeta in zetas:
+    alg = amb.gwa()
+    traces = []
+    for zeta in map(frac, zetas):
         if zeta == 0:
             raise ValueError("the pairing needs a nonzero root of p")
-        if amb.p(zeta) != 0:
-            raise ValueError(f"zeta = {zeta} is not a root of the defining polynomial")
+        traces.append(CyclicTrace.for_algebra(alg, zeta))
     e = idempotent_trace(amb, n)
-    if not zetas:
-        return []
-    _check_q_admissible(amb.q)
-    F = _antidifference(amb.q, Fraction(0), e)
-    return [F(zeta) for zeta in zetas]
+    return [t.on_poly(e) for t in traces]
 
 
 def chern_pairing(amb: AmbientAlgebra, zeta, n: int) -> Fraction:

@@ -395,6 +395,13 @@ def test_str_cap_is_restored_after_main(capsys, args):
     assert sys.get_int_max_str_digits() == digits
 
 
+def test_main_runs_where_python_has_no_str_cap(capsys, monkeypatch):
+    """Before Python 3.10.7, ``sys`` has no ``set_int_max_str_digits``."""
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, records, _ = run_cli(capsys, "chern", "--n", "1")
+    assert code == 0 and [r["pass"] for r in records] == [True]
+
+
 def test_config_value_longer_than_the_str_cap_is_usage_error(capsys, tmp_path):
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no cap on int-to-str conversion")
@@ -554,6 +561,13 @@ def test_rep_check_dump_csv(capsys, tmp_path):
 def test_rep_check_nonzero_r_is_usage_error(capsys, tmp_path):
     path = write_config(tmp_path, {**SPHERE_CONFIG, "r": "1/2"})
     assert "r = 0" in usage_error(capsys, "--config", path, "rep-check", "--zeta", "1")
+
+
+def test_rep_check_negative_q_is_reported_as_given(capsys, tmp_path):
+    # only a q above 1 is inverted; q = -2 * 2 stays -4
+    path = write_config(tmp_path, {**SPHERE_CONFIG, "q_plus": "-2"})
+    message = usage_error(capsys, "--config", path, "rep-check", "--zeta", "1")
+    assert message == "truncated representation needs q in (0, 1), got -4"
 
 
 def test_internal_error_is_distinct(capsys, monkeypatch):

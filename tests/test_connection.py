@@ -16,13 +16,11 @@ from weylbundles.connection import (
     idempotent,
     idempotent_trace,
     idempotent_trace_recursive,
-    lowering_connection,
-    raising_connection,
     unit_in_degree,
 )
 from weylbundles.config import PRESETS, preset
 from weylbundles.gwa import AlgebraMismatch, GwaElem
-from weylbundles.poly import UniPoly, poly_divmod
+from weylbundles.poly import PairPoly, UniPoly, poly_divmod
 from weylbundles.sampling import random_gwa_elem, random_homogeneous_amb
 
 from drawn_configs import ambient_configs
@@ -54,6 +52,52 @@ def module_row(amb, n, a):
     return row_times(coeffs, mat)
 
 
+# -- the level-one tensors against the paper's written-out formulas -----------
+
+def geometric_sum(amb):
+    """G(z) = sum_{i<k} z^i h(z)^i pt(0)^(k-1-i)."""
+    pt0, k = amb.p_reduced.constant_term, amb.k
+    return sum((UniPoly({i: pt0 ** (k - 1 - i)}) * amb.p_tail**i for i in range(k)),
+               UniPoly.zero())
+
+
+def lowering_formula(amb):
+    """(1/pt(0)^k) [ q^k h(qz)^k z-^k (x) z+^k + x- (x) G(z) x+ ], legs (-1, +1)."""
+    k, q = amb.k, amb.q
+    scale = amb.p_reduced.constant_term ** (-k)
+    h_q = amb.p_tail.compose_linear(q, 0)
+    left1 = amb.from_pair(PairPoly.diagonal(h_q**k * (q**k * scale)) * PairPoly.monomial(0, k))
+    right1 = amb.basis_elem(0, k, 0)
+    left2 = amb.x_minus() * scale
+    right2 = amb.from_z_poly(geometric_sum(amb)) * amb.x_plus()
+    return Tensor2(amb, ((left1, right1), (left2, right2)), (-1, 1))
+
+
+def raising_formula(amb):
+    """(1/pt(0)^k) [ h(z)^k z+^k (x) z-^k + x+ (x) G(qz) x- ], legs (+1, -1)."""
+    k, q = amb.k, amb.q
+    scale = amb.p_reduced.constant_term ** (-k)
+    left1 = amb.from_pair(PairPoly.diagonal(amb.p_tail**k * scale) * PairPoly.monomial(k, 0))
+    right1 = amb.basis_elem(0, 0, k)
+    left2 = amb.x_plus() * scale
+    right2 = amb.from_z_poly(geometric_sum(amb).compose_linear(q, 0)) * amb.x_minus()
+    return Tensor2(amb, ((left1, right1), (left2, right2)), (1, -1))
+
+
+def test_level_one_matches_formulas_on_presets(any_preset):
+    amb = any_preset.ambient_algebra()
+    assert connection_power(amb, 1) == lowering_formula(amb)
+    assert connection_power(amb, -1) == raising_formula(amb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_configs())
+def test_level_one_matches_formulas_on_drawn_configs(config):
+    amb, _ = config
+    assert connection_power(amb, 1) == lowering_formula(amb)
+    assert connection_power(amb, -1) == raising_formula(amb)
+
+
 def test_lowering_connection_sphere(sphere_amb):
     amb = sphere_amb
     expected = Tensor2(
@@ -61,7 +105,7 @@ def test_lowering_connection_sphere(sphere_amb):
         ((amb.z_minus() * 4, amb.z_plus()), (amb.x_minus(), amb.x_plus())),
         (-1, 1),
     )
-    assert lowering_connection(amb) == expected
+    assert connection_power(amb, 1) == expected
     assert check_connection(expected)
 
 
@@ -72,19 +116,19 @@ def test_raising_connection_sphere(sphere_amb):
         ((amb.z_plus(), amb.z_minus()), (amb.x_plus(), amb.x_minus())),
         (1, -1),
     )
-    assert raising_connection(amb) == expected
+    assert connection_power(amb, -1) == expected
 
 
 def test_raising_connection_degenerate():
     amb = AmbientAlgebra(UniPoly({2: 1}), 2, 2)       # p = z^2, tail = 0
-    t = raising_connection(amb)
+    t = connection_power(amb, -1)
     assert t == Tensor2(amb, ((amb.x_plus(), amb.x_minus()),), (1, -1))
     assert check_connection(t)
 
 
 def test_leg_degrees(any_preset):
     amb = any_preset.ambient_algebra()
-    t = lowering_connection(amb)
+    t = connection_power(amb, 1)
     for left, right in t.pairs:
         assert left.degree() == -amb.k
         assert right.degree() == amb.k
@@ -94,8 +138,6 @@ def test_connection_power_base_cases(sphere_amb):
     amb = sphere_amb
     t0 = connection_power(amb, 0)
     assert t0.pairs == ((amb.one(), amb.one()),)
-    assert connection_power(amb, 1) == lowering_connection(amb)
-    assert connection_power(amb, -1) == raising_connection(amb)
 
 
 @pytest.mark.parametrize("n", range(-3, 4))
@@ -410,4 +452,4 @@ def test_raising_quotient_matches_long_division(name):
                  - amb.p_tail.compose_linear(q, 0) ** k * UniPoly({k: q**k}))
     quot, rem = poly_divmod(numerator, amb.p_reduced.compose_linear(q, 0))
     assert rem == UniPoly.zero()
-    assert raising_connection(amb).pairs[-1][1] == amb.from_z_poly(quot) * amb.x_minus()
+    assert connection_power(amb, -1).pairs[-1][1] == amb.from_z_poly(quot) * amb.x_minus()

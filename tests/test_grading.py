@@ -40,7 +40,7 @@ def unpruned_found(view, g, bound) -> bool:
     if g == 0:
         return True
     left = view.enumerate_basis(g, bound)
-    right = view.enumerate_basis(view.negate_degree(g), bound)
+    right = view.enumerate_basis(view.normalize_degree(-g), bound)
     products = [view.multiply(a, b).monomials() for a in left for b in right]
     return _combine_into_unit(products, (0, 0, 0)) is not None
 

@@ -11,12 +11,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_on_the_package():
+def run_with_tracer(script: str):
+    """Run ``script`` in a fresh interpreter that imports the package and the tracer."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_installs_on_the_package():
+    run_with_tracer("from tracer import Tracer; Tracer().install()")
 
 
 READ_COEFFS = """
@@ -41,11 +46,7 @@ assert tracer.counts["poly.mul.coeff_mults"] == 4, tracer.counts
 
 def test_benchmark_reads_coeffs_as_fractions():
     """``worker.poly_size`` and the ``poly.mul`` counter read ``.coeffs`` of products."""
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", READ_COEFFS],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_with_tracer(READ_COEFFS)
 
 
 COUNT_VIEW_PRODUCTS = """
@@ -66,11 +67,7 @@ assert tracer.counts["grading.products"] == 62, tracer.counts
 
 def test_derived_views_keep_the_counted_product():
     """The tracer swaps ``multiply`` on the plain view; views built from it keep the swap."""
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", COUNT_VIEW_PRODUCTS],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_with_tracer(COUNT_VIEW_PRODUCTS)
 
 
 COUNT_TENSOR_PAIRS = """
@@ -91,8 +88,23 @@ assert tracer.counts["connection.tensor_pairs"] == 29, tracer.counts
 
 def test_tracer_reads_the_level_by_position():
     """The ``power`` hooks read ``(amb, n)`` from the positional arguments of each call."""
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", COUNT_TENSOR_PAIRS],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_with_tracer(COUNT_TENSOR_PAIRS)
+
+
+COUNT_PAIRING_EVALUATIONS = """
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from weylbundles import traces
+from weylbundles.config import preset
+
+amb = preset("kleinian-demo").ambient_algebra()
+assert traces.chern_pairings(amb, [1, 2], 2) == [-2, -2]
+assert tracer.stats()["traces.on_poly"]["calls"] == 2, tracer.stats()
+"""
+
+
+def test_tracer_sees_each_pairing_evaluation():
+    """``chern_pairings`` evaluates every root through the traced ``CyclicTrace.on_poly``."""
+    run_with_tracer(COUNT_PAIRING_EVALUATIONS)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from weylbundles.ambient import AmbientAlgebra
 from weylbundles.config import PRESETS, Config, preset
-from weylbundles.connection import idempotent_trace, idempotent_trace_recursive
+from weylbundles.connection import MAX_LEVEL, idempotent_trace, idempotent_trace_recursive
 from weylbundles.gwa import AlgebraMismatch, GwaAlgebra
 from weylbundles.poly import UniPoly
 from weylbundles.sampling import random_unipoly
@@ -296,6 +296,8 @@ def test_chern_pairings_check_q_only_for_a_root():
     assert chern_pairings(amb, [], 2) == []
     with pytest.raises(ValueError, match="root of unity"):
         chern_pairings(amb, [1], 2)
+    with pytest.raises(ValueError, match="root of unity"):  # before the build's level cap
+        chern_pairings(amb, [1], MAX_LEVEL + 1)
 
 
 @settings(max_examples=100, deadline=None)
