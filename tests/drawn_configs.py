@@ -15,11 +15,12 @@ NONZERO_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3).fi
 
 @st.composite
 def ambient_configs(draw):
-    """p = z^k prod (1 - z/rho)^m over at most two distinct nonzero rational
-    roots rho, with k in 1..3 and deg p <= 5; q+ and q- nonzero, q+ q- != +-1."""
+    """p = c z^k prod (1 - z/rho)^m over at most two distinct nonzero rational
+    roots rho, with c nonzero, k in 1..3 and deg p <= 5; q+ and q- nonzero,
+    q+ q- != +-1."""
     k = draw(st.integers(1, 3))
     roots = draw(st.lists(NONZERO_RATIONAL, max_size=min(2, 5 - k), unique=True))
-    p, free = UniPoly({k: 1}), 5 - k - len(roots)
+    p, free = UniPoly({k: draw(NONZERO_RATIONAL)}), 5 - k - len(roots)
     for rho in roots:
         mult = draw(st.integers(1, 1 + free))
         free -= mult - 1
