@@ -137,7 +137,7 @@ def criterion_trace_axioms() -> list[dict]:
                 failures += 1
         record_check(checks, "shift-identity-failures", {"q": "4", "r": str(r), "samples": 100},
                      0, failures)
-        records = verify_trace(trace, alg, bound=3, pairs=100, rng=Random(52))
+        (records,) = verify_trace([trace], alg, bound=3, pairs=100, rng=Random(52))
         failed = sum(not c["pass"] for c in records)
         _record_bool(checks, "trace-verification", {"q": "4", "r": str(r)},
                      failed == 0, detail=f"{failed} failures")

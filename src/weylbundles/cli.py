@@ -122,9 +122,9 @@ def _cmd_trace_check(cfg: Config, args, out: _Reporter) -> None:
         raise ValueError("no nonzero root listed for the trace")
     if 0 in zetas:
         raise ValueError("the trace at the root 0 is the zero map; give a nonzero root")
-    for zeta in zetas:
-        trace = CyclicTrace.for_algebra(alg, zeta)
-        records = verify_trace(trace, alg, bound=args.bound, pairs=args.pairs)
+    traces = [CyclicTrace.for_algebra(alg, zeta) for zeta in zetas]
+    checks = verify_trace(traces, alg, bound=args.bound, pairs=args.pairs)
+    for zeta, records in zip(zetas, checks):
         failures = [c for c in records if not c["pass"]]
         for record in failures:
             out.emit(record)

@@ -77,11 +77,6 @@ class Tensor2:
             return self.alg == other.alg and self.canonical() == other.canonical()
         return NotImplemented
 
-    def __str__(self) -> str:
-        if not self.pairs:
-            return "0"
-        return " + ".join(f"[{l}] (x) [{r}]" for l, r in self.pairs)
-
 
 def _geometric_sum(amb: AmbientAlgebra) -> UniPoly:
     """G(z) = sum_{i<k} (z h(z))^i pt(0)^(k-1-i), so pt(0)^k - (z h(z))^k = pt(z) G(z)."""

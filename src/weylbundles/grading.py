@@ -49,15 +49,6 @@ class GradedView:
     modulus: Optional[int] = None
     multiply: Callable[[object, object], object] = operator.mul
 
-    def bidegree(self, e) -> tuple[int, int]:
-        """The ambient Z^2 bidegree (m, a - b) of a basis monomial.
-
-        Products of basis monomials are bihomogeneous of the summed bidegree,
-        which is what lets ``witness_search`` skip pairs that cannot reach 1.
-        """
-        ((m, a, b),) = e.monomials()
-        return m, a - b
-
     def degree_of(self, e) -> int:
         """The view degree of a nonzero homogeneous element."""
         d = e.degree()
@@ -156,20 +147,14 @@ def _combine_into_unit(products: list[dict], unit_key) -> Optional[dict[int, Fra
             hit = basis.get(pivot)
             if hit is None:
                 return row, combo, pivot
-            brow, bcombo = hit
             c = row[pivot]
-            for key, v in brow.items():
-                w = row.get(key, _ZERO) - c * v
-                if w:
-                    row[key] = w
-                else:
-                    row.pop(key, None)
-            for key, v in bcombo.items():
-                w = combo.get(key, _ZERO) - c * v
-                if w:
-                    combo[key] = w
-                else:
-                    combo.pop(key, None)
+            for target, source in zip((row, combo), hit):
+                for key, v in source.items():
+                    w = target.get(key, _ZERO) - c * v
+                    if w:
+                        target[key] = w
+                    else:
+                        target.pop(key, None)
         return row, combo, None
 
     for idx, vec in enumerate(products):
@@ -194,8 +179,9 @@ MAX_SIZE_BOUND = 12
 def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witness]:
     """Search for a strong-grading witness in degree g within the size bound.
 
-    Enumerates basis monomials of degree g and of the inverse degree, forms
-    the products of the pairs whose bidegrees sum to (0, 0) and solves for a
+    Pairs each basis monomial of degree g and bidegree (m, e) with the
+    monomials of the opposite bidegree within the bound, the keys
+    (-m, c, c + e) in ascending c, forms those products and solves for a
     rational combination equal to 1.  The other pairs have products of
     nonzero bidegree, which cannot contribute to the unit, so dropping them
     keeps the verdict of the search over all pairs.  Returns None when no
@@ -205,21 +191,21 @@ def witness_search(view: GradedView, g: int, size_bound: int) -> Optional[Witnes
     """
     if not 1 <= size_bound <= MAX_SIZE_BOUND:
         raise ValueError(f"size bound must be in [1, {MAX_SIZE_BOUND}], got {size_bound}")
-    g = view.normalize_degree(g)
+    amb, g = view.amb, view.normalize_degree(g)
     if g == 0:
-        one = view.amb.one()
+        one = amb.one()
         return Witness(((one, one, Fraction(1)),))
-    partners: dict = {}  # minus the bidegree of b -> the right monomials b
-    for b in view.enumerate_basis(view.normalize_degree(-g), size_bound):
-        m, d = view.bidegree(b)
-        partners.setdefault((-m, -d), []).append(b)
-    index_pairs = [
-        (a, b)
-        for a in view.enumerate_basis(g, size_bound)
-        for b in partners.get(view.bidegree(a), ())
-    ]
+    partners: dict = {}  # bidegree (m, e) of a left monomial -> its partners
+    index_pairs = []
+    for a in view.enumerate_basis(g, size_bound):
+        ((m, x, y),) = a.monomials()
+        e = x - y
+        if (m, e) not in partners:
+            top = (size_bound - abs(m) - e) // 2
+            partners[m, e] = [amb.basis_elem(-m, c, c + e) for c in range(max(0, -e), top + 1)]
+        index_pairs.extend((a, b) for b in partners[m, e])
     products = [view.multiply(a, b).monomials() for a, b in index_pairs]
-    (unit_key,) = view.amb.one().monomials()
+    (unit_key,) = amb.one().monomials()
     combo = _combine_into_unit(products, unit_key)
     if combo is None:
         return None

@@ -65,7 +65,6 @@ class TruncatedRep:
 
     dim: int
     q: Fraction
-    zeta: Fraction
     p_coeffs: dict[int, Fraction]
     x: list[float]
     z: list[float]
@@ -107,7 +106,7 @@ def truncated_rep(alg: GwaAlgebra, zeta, dim: int) -> TruncatedRep:
         if values[j] <= 0:
             raise ValueError(f"p(q^{j} zeta) = {values[j]} <= 0 at index {j}")
     return TruncatedRep(
-        dim=dim, q=alg.q, zeta=zeta, p_coeffs=dict(alg.p.coeffs),
+        dim=dim, q=alg.q, p_coeffs=dict(alg.p.coeffs),
         x=[0.0] + [math.sqrt(float(v)) for v in values[1:dim]],
         z=[float(w) for w in orbit[:dim]],
     )
@@ -152,5 +151,4 @@ def relation_residuals(rep: TruncatedRep) -> dict:
                       for name, entry in entries.items()},
         "interior_indices": [1, rep.dim - 2],
         "positivity_checked_upto": rep.dim,
-        "note": "positivity of p on the orbit beyond the truncation is not checked",
     }

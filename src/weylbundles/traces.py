@@ -13,8 +13,9 @@ level n.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from random import Random
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ambient import AmbientAlgebra
 from .connection import idempotent_trace
@@ -102,18 +103,19 @@ def record_check(checks: list[dict], name: str, params: dict, expected, got) -> 
 
 
 # the largest sizes :func:`verify_trace` takes: it evaluates (bound + 1)^3
-# closed-form commutators and traces 2 * pairs random products
+# closed-form commutators and 2 * pairs random products
 MAX_TRACE_BOUND = 8
 MAX_TRACE_PAIRS = 1000
 
 
-def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
-                 pairs: int = 50, rng: Optional[Random] = None) -> list[dict]:
-    """Check the trace property on the closed-form commutators and random pairs.
+def verify_trace(traces: Sequence[CyclicTrace], alg: GwaAlgebra, bound: int = 3,
+                 pairs: int = 50, rng: Optional[Random] = None) -> list[list[dict]]:
+    """Check the trace property of every trace in one pass over what a trace kills.
 
-    Evaluates the trace on the commutator spanning set for all n, k, l up to
-    the bound, then on a * b - b * a for random degree-bounded pairs; returns
-    one check record per evaluation.  Raises ValueError unless
+    The pass makes the commutator spanning set for all n, k, l up to the
+    bound, then a * b - b * a for random degree-bounded pairs, and every
+    trace evaluates each element as it is made.  Returns one list of check
+    records per trace, one record per evaluation.  Raises ValueError unless
     0 <= bound <= MAX_TRACE_BOUND and 0 <= pairs <= MAX_TRACE_PAIRS.
     """
     if bound < 0 or pairs < 0:
@@ -122,18 +124,20 @@ def verify_trace(trace: CyclicTrace, alg: GwaAlgebra, bound: int = 3,
         raise ValueError(f"bound must be <= {MAX_TRACE_BOUND} and pairs <= {MAX_TRACE_PAIRS}, "
                          f"got {bound} and {pairs}")
     rng = rng or Random(20260809)
-    checks: list[dict] = []
-    for n in range(bound + 1):
-        for k in range(bound + 1):
-            for l in range(bound + 1):
-                got = trace(commutator_closed_form(alg, n, k, l))
-                record_check(checks, "commutator-span-vanishes",
-                             {"n": n, "k": k, "l": l}, Fraction(0), got)
+    checks: list[list[dict]] = [[] for _ in traces]
+
+    def vanishes(name: str, params: dict, e: GwaElem) -> None:
+        for trace, records in zip(traces, checks):
+            record_check(records, name, params, Fraction(0), trace(e))
+
+    for n, k, l in product(range(bound + 1), repeat=3):
+        vanishes("commutator-span-vanishes", {"n": n, "k": k, "l": l},
+                 commutator_closed_form(alg, n, k, l))
     for i in range(pairs):
         a = random_gwa_elem(alg, rng)
         b = random_gwa_elem(alg, rng)
-        got = trace(a * b) - trace(b * a)
-        record_check(checks, "cyclicity", {"sample": i}, Fraction(0), got)
+        # the trace is linear, so this is trace(a * b) - trace(b * a) exactly
+        vanishes("cyclicity", {"sample": i}, a * b - b * a)
     return checks
 
 

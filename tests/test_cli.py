@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from weylbundles import acceptance, cli, numrep
+from weylbundles import acceptance, cli, numrep, traces
 from weylbundles.grading import MAX_SIZE_BOUND
 from weylbundles.cli import main
 from weylbundles.config import PRESETS, config_from_dict, load_config, poly_from_roots, preset
@@ -184,6 +184,23 @@ def test_trace_check_command(capsys):
                                "--bound", "2", "--pairs", "10")
     assert code == 0
     assert records[-1]["check"] == "trace-axioms" and records[-1]["pass"]
+
+
+def test_trace_check_makes_one_pass_for_all_roots(capsys, monkeypatch):
+    made = []
+    closed_form = traces.commutator_closed_form
+    monkeypatch.setattr(traces, "commutator_closed_form",
+                        lambda *args: made.append(args) or closed_form(*args))
+    args = ("--preset", "kleinian-demo", "trace-check", "--bound", "1", "--pairs", "2")
+    code, both, _ = run_cli(capsys, *args)
+    assert code == 0 and len(made) == 8  # (bound + 1)^3 once, not once per root
+    one, two = (run_cli(capsys, *args, "--zeta", zeta)[1] for zeta in ("1", "2"))
+    assert both == one + two and [r["params"]["zeta"] for r in both] == ["1", "2"]
+    alg = preset("kleinian-demo").gwa_algebra()
+    t1, t2 = (traces.CyclicTrace.for_algebra(alg, zeta) for zeta in (1, 2))
+    assert traces.verify_trace([t1, t2], alg, bound=1, pairs=2) == (
+        traces.verify_trace([t1], alg, bound=1, pairs=2)
+        + traces.verify_trace([t2], alg, bound=1, pairs=2))
 
 
 def test_grading_check_veronese(capsys):

@@ -48,18 +48,50 @@ def unpruned_found(view, g, bound) -> bool:
 @pytest.mark.parametrize("name", BIDEGREE_PRESETS)
 def test_products_carry_the_summed_bidegree(name):
     amb = preset(name).ambient_algebra()
-    view = ambient_graded_view(amb)
     basis = [amb.basis_elem(m, a, b)
              for m in range(-3, 4) for a in range(4) for b in range(4)
              if abs(m) + a + b <= 3]
-    for e in basis:
-        assert view.bidegree(e) == mono_bidegree(e)
     for x in basis:
         for y in basis:
             m, d = mono_bidegree(x)
             n, f = mono_bidegree(y)
             keys = (x * y).monomials()
             assert keys and {key_bidegree(key) for key in keys} == {(m + n, d + f)}
+
+
+def bucketed_pairs(view, g, bound):
+    """The pairs of opposite bidegree, found by bucketing the whole degree -g basis."""
+    partners = {}
+    for b in view.enumerate_basis(view.normalize_degree(-g), bound):
+        m, d = mono_bidegree(b)
+        partners.setdefault((-m, -d), []).append(b)
+    return [(a, b) for a in view.enumerate_basis(g, bound)
+            for b in partners.get(mono_bidegree(a), ())]
+
+
+@pytest.mark.parametrize("kind", ["plain", "mod k", "mod 3", "veronese k", "veronese 2"])
+@pytest.mark.parametrize("name", BIDEGREE_PRESETS)
+def test_partners_from_the_key_match_the_bucketed_basis(name, kind):
+    amb = preset(name).ambient_algebra()
+    view = ambient_graded_view(amb)
+    view = {
+        "plain": view,
+        "mod k": induced_quotient_view(view, max(amb.k, 2)),
+        "mod 3": induced_quotient_view(view, 3),
+        "veronese k": veronese_view(view, amb.k),
+        "veronese 2": veronese_view(view, 2),
+    }[kind]
+    for g in (1, -1, 2):
+        if view.normalize_degree(g) == 0:
+            continue  # the search answers degree 0 with the unit and pairs nothing
+        for bound in (3, 6):
+            pairs = bucketed_pairs(view, view.normalize_degree(g), bound)
+            products = [view.multiply(a, b).monomials() for a, b in pairs]
+            combo = _combine_into_unit(products, (0, 0, 0))
+            expected = None if combo is None else Witness(tuple(
+                (*pairs[idx], c) for idx, c in sorted(combo.items()))).to_json()
+            found = witness_search(view, g, bound)
+            assert (found and found.to_json()) == expected, (g, bound)
 
 
 @pytest.mark.parametrize("kind", ["plain", "quotient", "veronese"])

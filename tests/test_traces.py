@@ -236,7 +236,7 @@ def test_shift_identity(f, r):
 def test_verify_trace_presets(cfg, zeta):
     alg = preset(cfg).gwa_algebra()
     trace = CyclicTrace.for_algebra(alg, zeta)
-    records = verify_trace(trace, alg, bound=3, pairs=40, rng=Random(12))
+    (records,) = verify_trace([trace], alg, bound=3, pairs=40, rng=Random(12))
     failures = [c for c in records if not c["pass"]]
     assert records and not failures, failures[:3]
 
@@ -244,7 +244,7 @@ def test_verify_trace_presets(cfg, zeta):
 def test_verify_trace_nonzero_r():
     alg = GwaAlgebra(P_SPHERE, 3, Fraction(1, 2))
     trace = CyclicTrace.for_algebra(alg, 1)
-    records = verify_trace(trace, alg, bound=2, pairs=30, rng=Random(13))
+    (records,) = verify_trace([trace], alg, bound=2, pairs=30, rng=Random(13))
     failures = [c for c in records if not c["pass"]]
     assert records and not failures, failures[:3]
 
@@ -255,7 +255,7 @@ def test_verify_trace_nonzero_r():
 def test_verify_trace_rejects_sizes_above_the_ceilings(bound, pairs):
     alg = GwaAlgebra(P_SPHERE, 4, 0)
     with pytest.raises(ValueError, match="must be <="):
-        verify_trace(CyclicTrace.for_algebra(alg, 1), alg, bound=bound, pairs=pairs)
+        verify_trace([CyclicTrace.for_algebra(alg, 1)], alg, bound=bound, pairs=pairs)
 
 
 def test_chern_pairing_examples(sphere, kleinian):
