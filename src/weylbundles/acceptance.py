@@ -27,6 +27,7 @@ from .connection import (
 )
 from .gwa import GwaAlgebra
 from .grading import (
+    CompositionError,
     ambient_graded_view,
     compose_witnesses,
     induced_quotient_view,
@@ -307,30 +308,18 @@ def criterion_degree_zero_part() -> list[dict]:
 # -- 8 ----------------------------------------------------------------
 def _chain_roundtrip(checks: list, name: str, amb: AmbientAlgebra, g: int) -> None:
     base = veronese_view(ambient_graded_view(amb), amb.k)
-    quotient = induced_quotient_view(base, 2)
     halved = veronese_view(base, 2)
-    class_witness = witness_search(quotient, g % 2, 4)
-    ok = class_witness is not None
-    detail = "no class witness"
-    if ok:
-        correctors = sorted(
-            {-(base.degree_of(a) - g) // 2 for a, _, _ in class_witness.pairs} - {0}
-        )
-        sub = {}
-        for c in correctors:
-            w = witness_search(halved, c, 8)
-            if w is None:
-                ok = False
-                detail = f"no subgroup witness in degree {c}"
-                break
-            sub[c] = w
-        if ok:
-            composed = compose_witnesses(
-                {g % 2: class_witness}, sub, g, view=base, k=2
-            )
-            degrees_ok = all(base.degree_of(a) == g for a, _, _ in composed.pairs)
-            ok = composed.check(base) and degrees_ok
+    class_witness = witness_search(induced_quotient_view(base, 2), g % 2, 4)
+    ok, detail = False, "no class witness"
+    if class_witness is not None:
+        correctors = {-(base.degree_of(a) - g) // 2 for a, _, _ in class_witness.pairs} - {0}
+        sub = {c: w for c in sorted(correctors) if (w := witness_search(halved, c, 8)) is not None}
+        try:
+            composed = compose_witnesses({g % 2: class_witness}, sub, g, view=base, k=2)
+            ok = composed.check(base) and all(base.degree_of(a) == g for a, _, _ in composed.pairs)
             detail = "product or degree check failed"
+        except CompositionError as exc:  # its message names the missing witness
+            detail = str(exc)
     _record_bool(checks, "witness-composition", {"preset": name, "g": g}, ok, detail)
 
 

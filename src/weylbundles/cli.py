@@ -52,34 +52,32 @@ class _Reporter:
         print(line, flush=True)  # a piped verify-all shows each summary as it is made
 
 
-def _eval_element(cfg: Config, text: str):
-    used = generators(text)
+def _eval_elements(cfg: Config, *texts: str):
+    """The algebra the generators of all ``texts`` name together, and each text's value in it."""
+    used = set().union(*map(generators, texts))
     if used <= set(GWA_GENERATORS):
         alg = cfg.gwa_algebra()
         atoms = {"x": alg.x(), "y": alg.y(), "z": alg.z()}
-        return "gwa", parse(text, atoms, alg.from_scalar)
+        return "gwa", [parse(text, atoms, alg.from_scalar) for text in texts]
     if used <= set(AMBIENT_GENERATORS):
         amb = cfg.ambient_algebra()
         atoms = {
             "xp": amb.x_plus(), "xm": amb.x_minus(),
             "zp": amb.z_plus(), "zm": amb.z_minus(),
         }
-        return "ambient", parse(text, atoms, lambda c: amb.one() * c)
+        return "ambient", [parse(text, atoms, lambda c: amb.one() * c) for text in texts]
     raise ParseError(f"mixed or unknown generators: {sorted(used)}", 0)
 
 
 def _cmd_normalize(cfg: Config, args, out: _Reporter) -> None:
-    kind, value = _eval_element(cfg, args.expr)
+    kind, (value,) = _eval_elements(cfg, args.expr)
     out.emit({"command": "normalize", "algebra": kind, "input": args.expr,
               "result": str(value)})
 
 
 def _cmd_mul(cfg: Config, args, out: _Reporter) -> None:
-    kind1, e1 = _eval_element(cfg, args.left)
-    kind2, e2 = _eval_element(cfg, args.right)
-    if kind1 != kind2:
-        raise ParseError("factors live in different algebras", 0)
-    out.emit({"command": "mul", "algebra": kind1, "left": args.left,
+    kind, (e1, e2) = _eval_elements(cfg, args.left, args.right)
+    out.emit({"command": "mul", "algebra": kind, "left": args.left,
               "right": args.right, "result": str(e1 * e2)})
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .ambient import AmbientAlgebra
@@ -143,20 +143,14 @@ _LENS = re.compile(r"^lens\(\s*(\d+)\s*,\s*(\d+)\s*,\s*([0-9/]+)\s*\)$")
 def preset(name: str) -> Config:
     """Named configurations.
 
-    ``sphere``: p = z(1-z), q_plus = q_minus = 2, zeta = 1.
     ``lens(k,l,q)``: p = z^k prod_{i<l} (1 - z/q^{2i}), grading parameters
     q^l on both sides (so the base parameter is q^{2l}), zetas q^{2i}.
+    ``sphere``: ``lens(1,1,2)``, so p = z(1-z), q_plus = q_minus = 2, zeta = 1.
     ``kleinian-demo``: p = z^2 (1-z)(2-z), q_plus = 3, q_minus = 1,
     zetas 1 and 2.
     """
     if name == "sphere":
-        return Config(
-            name="sphere",
-            p=poly_from_roots([["0", 1], ["1", 1]]),
-            q_plus=Fraction(2),
-            q_minus=Fraction(2),
-            zetas=(Fraction(1),),
-        )
+        return replace(preset("lens(1,1,2)"), name="sphere")
     match = _LENS.match(name)
     if match:
         k, l, q_str = int(match.group(1)), int(match.group(2)), match.group(3)

@@ -43,27 +43,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([a-zA-Z]+)|(.))")
+_TOKEN = re.compile(r"(\d+(?:/\d+)?)|([a-zA-Z]+)|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        number, word, symbol = m.groups()
-        start = m.end() - len(m.group().lstrip()) if m.group().strip() else m.end()
-        if number is not None:
-            tokens.append(("num", number, start))
-        elif word is not None:
-            tokens.append(("name", word, start))
-        elif symbol is not None and symbol.strip():
-            tokens.append(("sym", symbol, start))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    """(kind, text, position) of each token, then the end; whitespace separates tokens."""
+    tokens = [(("num", "name", "sym")[m.lastindex - 1], m.group(), m.start())
+              for m in _TOKEN.finditer(text)]
+    return tokens + [("end", "", len(text))]
 
 
 def generators(text: str) -> set[str]:

@@ -169,18 +169,11 @@ class GwaElem:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        raising, lowering = self._GENS
         parts = []
         for d in sorted(self.terms, reverse=True):
-            body = f"({self.terms[d]})"
-            if d > 0:
-                head = raising if d == 1 else f"{raising}^{d}"
-                parts.append(f"{head}*{body}")
-            elif d < 0:
-                head = lowering if d == -1 else f"{lowering}^{-d}"
-                parts.append(f"{head}*{body}")
-            else:
-                parts.append(body)
+            gen = self._GENS[d < 0]
+            head = "" if d == 0 else f"{gen}*" if abs(d) == 1 else f"{gen}^{abs(d)}*"
+            parts.append(f"{head}({self.terms[d]})")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -198,3 +198,4 @@ def test_printing(sphere_amb):
     e = sphere_amb.basis_elem(1, 2, 1)
     assert str(e) == "xm*(zp^2*zm)"
     assert str(sphere_amb.x_plus()) == "xp*(1)"
+    assert str(sphere_amb.basis_elem(-2, 0, 1) + sphere_amb.x_minus()) == "xm*(1) + xp^2*(zm)"

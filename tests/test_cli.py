@@ -103,6 +103,20 @@ def test_mul(capsys):
     assert records[0]["result"] == "x*(1/4*z)"
 
 
+@pytest.mark.parametrize("left,right,result", [("2", "xp*zm", "xp*(2*zm)"), ("xp", "2", "xp*(2)")])
+def test_mul_with_a_scalar_factor_takes_the_other_factors_algebra(capsys, left, right, result):
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "mul", left, right)
+    assert code == 0
+    assert records == [{"command": "mul", "algebra": "ambient", "left": left, "right": right,
+                        "result": result}]
+
+
+@pytest.mark.parametrize("left,right", [("x", "xp"), ("x +", "xp")])
+def test_mul_names_mixed_generators_before_syntax_errors(capsys, left, right):
+    assert usage_error(capsys, "mul", left, right) == (
+        "mixed or unknown generators: ['x', 'xp'] (at position 0)")
+
+
 def test_connection_command(capsys):
     code, records, _ = run_cli(capsys, "--preset", "sphere", "connection", "--n", "2")
     assert code == 0
@@ -201,6 +215,18 @@ def test_trace_check_makes_one_pass_for_all_roots(capsys, monkeypatch):
     assert traces.verify_trace([t1, t2], alg, bound=1, pairs=2) == (
         traces.verify_trace([t1], alg, bound=1, pairs=2)
         + traces.verify_trace([t2], alg, bound=1, pairs=2))
+
+
+def test_trace_check_prints_failing_records_before_the_summary(capsys, monkeypatch):
+    monkeypatch.setattr(traces.CyclicTrace, "on_poly", lambda self, f: frac(1))
+    code, records, _ = run_cli(capsys, "--preset", "sphere", "trace-check",
+                               "--bound", "1", "--pairs", "2")
+    assert code == 1
+    *failures, summary = records
+    assert len(failures) == 10 and not any(r["pass"] for r in failures)
+    assert summary == {"check": "trace-axioms",
+                       "params": {"zeta": "1", "bound": 1, "pairs": 2},
+                       "expected": "no failures", "got": "10 failures", "pass": False}
 
 
 def test_grading_check_veronese(capsys):
@@ -509,6 +535,32 @@ def test_zero_denominator_in_an_expression_is_usage_error(capsys, args):
 def test_config_value_of_the_wrong_json_type_is_usage_error(capsys, tmp_path, data, message):
     path = write_config(tmp_path, data)
     assert message in usage_error(capsys, "--config", path, "normalize", "z")
+
+
+@pytest.mark.parametrize("source,command,message", [
+    ({**SPHERE_CONFIG, "p": {"coeffs": ["0"]}}, ("normalize", "z"),
+     "configuration needs p != 0"),
+    ({**SPHERE_CONFIG, "r": "1/2"}, ("chern", "--n", "1"),
+     "the graded ambient algebra needs r = 0"),
+    ({**SPHERE_CONFIG, "p": {"roots": [["0", 1], ["1", -1]]}}, ("normalize", "z"),
+     "multiplicities must be >= 0"),
+    ("lens(0,1,2)", ("normalize", "z"), "lens preset needs k >= 1 and l >= 1"),
+    ("lens(1,1,1)", ("normalize", "z"),
+     "lens preset needs q with q^(2l) not 0 or a root of unity"),
+    ({**SPHERE_CONFIG, "q_plus": "0"}, ("connection", "--n", "1"),
+     "q_plus and q_minus must be nonzero"),
+    ({**SPHERE_CONFIG, "q_minus": "0"}, ("normalize", "x*y"), "algebra needs q != 0"),
+    ({**SPHERE_CONFIG, "zetas": ["0"]}, ("chern", "--n", "1"),
+     "no nonzero root available for the pairing"),
+], ids=["p-zero", "ambient-r", "negative-multiplicity", "lens-k-zero", "lens-q-one",
+        "q-plus-zero", "q-zero", "chern-no-root"])
+def test_configuration_the_command_cannot_use_is_usage_error(capsys, tmp_path, source,
+                                                           command, message):
+    if isinstance(source, str):
+        args = ["--preset", source]
+    else:
+        args = ["--config", write_config(tmp_path, source)]
+    assert usage_error(capsys, *args, *command) == message
 
 
 def test_config_integers_are_read_as_numbers():

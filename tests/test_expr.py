@@ -44,6 +44,7 @@ def test_parse_power_and_scaled_sum(sphere_gwa, gwa_parse):
 
 def test_whitespace_insensitive(gwa_parse):
     assert gwa_parse(" y * x ") == gwa_parse("y*x")
+    assert gwa_parse("\ty\n*\u00a0x\n") == gwa_parse("y*x")
 
 
 def test_leading_minus_allowed(sphere_gwa, gwa_parse):
@@ -60,6 +61,12 @@ def test_error_carries_position(gwa_parse):
     with pytest.raises(ParseError) as err:
         gwa_parse("x + %")
     assert err.value.position == 4 and "position 4" in str(err.value)
+    # whitespace of every kind counts one position per character
+    for text, position in (("x\t+\t%", 4), ("x\n\n+ %", 5), ("\u00a0x +\u00a0%", 5),
+                           ("x +\t\n", 5)):
+        with pytest.raises(ParseError) as err:
+            gwa_parse(text)
+        assert err.value.position == position, text
 
 
 @pytest.mark.parametrize("text,position", [("1/0", 0), ("0/0", 0), ("x + 3/00*y", 4)])

@@ -230,6 +230,25 @@ def test_compose_witnesses_trivial_and_errors(sphere_amb):
             compose_witnesses({1: class_w}, {}, 1, view=base, k=2)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda base: veronese_view(base, 2).degree_of(base.amb.z_plus()),
+     "degree 1 is not divisible by 2"),
+    (lambda base: induced_quotient_view(induced_quotient_view(base, 2), 3),
+     "only integer gradings can be reduced mod k"),
+    (lambda base: veronese_view(induced_quotient_view(base, 2), 2),
+     "only integer gradings have Veronese subalgebras"),
+    (lambda base: compose_witnesses({}, {}, 1, view=induced_quotient_view(base, 2), k=2),
+     "composition needs the integer-graded base view"),
+    (lambda base: compose_witnesses({1: Witness(((base.amb.one(), base.amb.one(), 1),))},
+                                    {}, 1, view=base, k=2),
+     "witness element of degree 0 is not in class 1"),
+], ids=["step", "quotient-of-quotient", "veronese-of-quotient", "compose-on-quotient",
+        "class-mismatch"])
+def test_views_reject_what_they_do_not_grade(sphere_amb, make, message):
+    with pytest.raises(ValueError, match=message):
+        make(ambient_graded_view(sphere_amb))
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_compose_witnesses_chain_on_sphere(sphere_amb, g):
     base = ambient_graded_view(sphere_amb)       # strongly graded (k = 1)

@@ -128,8 +128,18 @@ def test_commutator_closed_form_matches_engine(alg_shifted, n, k, l):
     assert commutator(a, b) == commutator_closed_form(alg_shifted, n, k, l)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda alg: alg.x() ** -1, "negative power in the algebra"),
+    (lambda alg: commutator_closed_form(alg, 1, -1, 0), "n, k, l must be >= 0"),
+], ids=["power", "closed-form"])
+def test_negative_arguments_are_rejected(alg, make, message):
+    with pytest.raises(ValueError, match=message):
+        make(alg)
+
+
 def test_printing_canonical(alg):
     e = alg.monomial(2, UniPoly({0: 1, 1: -1})) + alg.from_scalar(Fraction(3, 2)) \
         + alg.monomial(-1, UniPoly({2: 1}))
     assert str(e) == "x^2*(1 - z) + (3/2) + y*(z^2)"
+    assert str(alg.x() + alg.monomial(-2, UniPoly({1: 3}))) == "x*(1) + y^2*(3*z)"
     assert str(alg.zero()) == "0"

@@ -35,6 +35,18 @@ def test_frac_parses_and_rejects_floats():
         frac(0.5)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: UniPoly.gen() ** -1, "negative polynomial power"),
+    (lambda: UniPoly({-1: 1}), "polynomial exponents must be >= 0"),
+    (lambda: PairPoly({(0, -1): 1}), "exponents must be >= 0"),
+    (lambda: AffineAuto(0, 1), "automorphism needs q != 0"),
+    (lambda: auto_shift_product(UniPoly.gen(), AffineAuto(2, 0), -1), "n must be >= 0"),
+], ids=["power", "uni-exponent", "pair-exponent", "auto-q", "shift-product-n"])
+def test_negative_and_zero_arguments_are_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_zero_degree_is_none():
     assert UniPoly.zero().degree() is None
     assert UniPoly.one().degree() == 0

@@ -172,6 +172,12 @@ def test_coeff_examples():
         assert all(c == 0 for c in zero_r.coeffs(n)[:-1])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_coeffs_need_a_positive_degree(n):
+    with pytest.raises(ValueError, match="defined for n >= 1"):
+        CyclicTrace(Fraction(4), Fraction(1, 2), 1).coeffs(n)
+
+
 def test_on_poly_examples():
     trace = CyclicTrace(4, 0, 1)
     assert trace.on_poly(UniPoly.one()) == 0
