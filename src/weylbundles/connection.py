@@ -12,9 +12,10 @@ n*k on the right legs and -n*k on the left legs.
 Two fixed caps bound the cost of a level.  The level-n tensor has 2^|n|
 pairs, so :func:`connection_power` and :func:`connection_power_alt` (and
 with them :func:`idempotent_trace` and the index pairing) take
-|n| <= MAX_LEVEL.  The idempotent matrix has 4^|n| entries and squaring it
-forms 8^|n| products, so :func:`idempotent` takes |n| <= MAX_IDEMPOTENT_LEVEL.
-A level beyond its cap raises ValueError.
+|n| <= MAX_LEVEL.  The idempotent matrix has 4^|n| entries but only |n| + 1
+classes of proportional rows: building it forms (|n|+1) 2^|n| products and
+checking that it squares to itself (|n|+1)^2 2^|n|, so :func:`idempotent`
+takes |n| <= MAX_IDEMPOTENT_LEVEL.  A level beyond its cap raises ValueError.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from .ambient import AmbientAlgebra, AmbientElem, project_degree_zero
 from .gwa import GwaElem
 from .poly import PairPoly, UniPoly, _integer_terms
 
-# the largest levels whose tensor, and whose idempotent square, take seconds
-# rather than minutes (see the module docstring for the growth of each)
+# the largest levels whose tensor, and whose idempotent and its check, take
+# seconds rather than minutes (see the module docstring for the growth of each)
 MAX_LEVEL = 7
 MAX_IDEMPOTENT_LEVEL = 5
 
@@ -166,6 +167,37 @@ def check_connection(t: Tensor2) -> bool:
     return out == t.alg.one()
 
 
+def _row_classes(rows) -> list[list[tuple[int, Fraction]]]:
+    """The classes of proportional nonzero rows, in order of first appearance.
+
+    A class lists its rows as (i, c) with ``rows[i]`` equal to c times the
+    first row of the class, which comes first with c = 1; a zero row joins
+    no class.  A row is keyed by its monomial coefficients divided by the
+    lead coefficient of its first nonzero entry, so the classes are exact.
+    """
+    classes: dict[tuple, list] = {}
+    for i, row in enumerate(rows):
+        lead = next((e for e in row if e), None)
+        if lead is None:
+            continue
+        top = lead.terms[max(lead.terms)].coeffs
+        c = top[max(top)]
+        key = tuple(frozenset((d, m, v / c)
+                              for d, f in e.terms.items() for m, v in f.coeffs.items())
+                    for e in row)
+        classes.setdefault(key, []).append((i, c))
+    return [[(i, c / members[0][1]) for i, c in members] for members in classes.values()]
+
+
+def _matmul(left, right) -> tuple:
+    """The product of two matrices of elements, each a sequence of rows."""
+    return tuple(
+        tuple(sum((row[l] * right[l][j] for l in range(1, len(right))), row[0] * right[0][j])
+              for j in range(len(right[0])))
+        for row in left
+    )
+
+
 @dataclass(frozen=True)
 class IdemMatrix:
     """Matrix of right-leg times left-leg products over the degree-zero part."""
@@ -178,16 +210,27 @@ class IdemMatrix:
         return len(self.entries)
 
     def matmul(self, other: "IdemMatrix") -> "IdemMatrix":
-        mat, n = other.entries, other.size
-        rows = tuple(
-            tuple(sum((row[l] * mat[l][j] for l in range(1, n)), row[0] * mat[0][j])
-                  for j in range(n))
-            for row in self.entries
-        )
-        return IdemMatrix(self.n, rows)
+        return IdemMatrix(self.n, _matmul(self.entries, other.entries))
 
     def is_idempotent(self) -> bool:
-        return self.matmul(self).entries == self.entries
+        """True iff E^2 = E, decided through the classes of proportional rows.
+
+        Let F hold the first row of each class and M be the scalar matrix
+        with M[i][a] = c when row i of E is c times row a of F, and a zero
+        row where E has one, so that E = M F.  Each column a of M has a
+        nonzero entry in a row where it is the only one, so M X = 0 forces
+        X = 0: M is injective.  Hence E^2 = M (F M F) equals E = M F exactly
+        when E' F = F for E' = F M, whose entries are sums of scaled entries
+        of F.  With r classes of an s x s matrix that takes r^2 s products
+        instead of s^3; when no row is zero and no two are proportional,
+        M is the identity and this is the plain square.
+        """
+        classes = _row_classes(self.entries)
+        f_rows = [self.entries[members[0][0]] for members in classes]
+        e_prime = [[sum((row[i] * c for i, c in members[1:]), row[members[0][0]])
+                    for members in classes]
+                   for row in f_rows]
+        return _matmul(e_prime, f_rows) == tuple(f_rows)
 
     def to_json(self) -> dict:
         return {
@@ -201,15 +244,19 @@ def idempotent(amb: AmbientAlgebra, n: int) -> IdemMatrix:
     """The idempotent presenting the level-n module over the degree-zero part.
 
     Entry (i, j) is the projection of right leg i times left leg j; the
-    connection identity at level n makes the matrix square to itself.
+    connection identity at level n makes the matrix square to itself.  The
+    right legs fall into |n| + 1 classes of proportional legs, so one row
+    is projected per class and the others are its scalar multiples.
     """
     _check_level(n, MAX_IDEMPOTENT_LEVEL, 4, "idempotent entries")
     t = connection_power(amb, n)
-    rows = tuple(
-        tuple(project_degree_zero(amb, right_i * left_j) for left_j, _ in t.pairs)
-        for _, right_i in t.pairs
-    )
-    return IdemMatrix(n, rows)
+    rows: list = [None] * len(t.pairs)
+    for members in _row_classes([(right,) for _, right in t.pairs]):
+        first = t.pairs[members[0][0]][1]
+        head = tuple(project_degree_zero(amb, first * left) for left, _ in t.pairs)
+        for i, c in members:
+            rows[i] = head if c == 1 else tuple(e * c for e in head)
+    return IdemMatrix(n, tuple(rows))
 
 
 def idempotent_trace(amb: AmbientAlgebra, n: int) -> UniPoly:

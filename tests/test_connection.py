@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylbundles import connection
 from weylbundles.ambient import AmbientAlgebra, embed_degree_zero, project_degree_zero
 from weylbundles.connection import (
     MAX_IDEMPOTENT_LEVEL,
     MAX_LEVEL,
+    IdemMatrix,
     Tensor2,
+    _row_classes,
     check_connection,
     connection_power,
     connection_power_alt,
@@ -31,6 +34,47 @@ def row_times(row, mat):
     return [sum((row[i] * mat.entries[i][j] for i in range(1, mat.size)),
                 row[0] * mat.entries[0][j])
             for j in range(mat.size)]
+
+
+def idempotent_entries(amb, n):
+    """E(n) entry by entry, the oracle of the per-class build of
+    :func:`idempotent`: the projection of right leg i times left leg j."""
+    t = connection_power(amb, n)
+    return tuple(tuple(project_degree_zero(amb, right * left) for left, _ in t.pairs)
+                 for _, right in t.pairs)
+
+
+def squares_to_itself(mat):
+    """The plain square E E = E, the oracle of ``IdemMatrix.is_idempotent``."""
+    return mat.matmul(mat).entries == mat.entries
+
+
+def with_rows(mat, changes):
+    """``mat`` with row i replaced by ``changes[i]`` for each key i."""
+    rows = list(mat.entries)
+    for i, row in changes.items():
+        rows[i] = tuple(row)
+    return IdemMatrix(mat.n, tuple(rows))
+
+
+def mutations(mat):
+    """Matrices one edit away from ``mat``, which has at least two row classes."""
+    (i, _), (j, _) = (members[0] for members in _row_classes(mat.entries)[:2])
+    row_i, row_j = mat.entries[i], mat.entries[j]
+    return {
+        "entry plus 1": with_rows(mat, {i: (row_i[0] + row_i[0].alg.one(), *row_i[1:])}),
+        "row times 2": with_rows(mat, {i: (e * 2 for e in row_i)}),
+        "rows of two classes swapped": with_rows(mat, {i: row_j, j: row_i}),
+        "zero row": with_rows(mat, {i: (e * 0 for e in row_i)}),
+        "row of another class, scaled": with_rows(mat, {i: (e * 3 for e in row_j)}),
+    }
+
+
+def assert_mutations_rejected(mat):
+    for what, bad in mutations(mat).items():
+        assert bad.entries != mat.entries, what
+        assert not bad.is_idempotent(), what
+        assert not squares_to_itself(bad), what
 
 
 def diagonal_sum(mat):
@@ -168,7 +212,11 @@ def test_drawn_configs_idempotents(config, n):
     amb, roots = config
     e = idempotent(amb, n)
     assert e.size == (2 ** abs(n) if roots else 1)
-    assert e.is_idempotent()
+    assert e.entries == idempotent_entries(amb, n)
+    assert len(_row_classes(e.entries)) == (abs(n) + 1 if roots else 1)
+    assert e.is_idempotent() and squares_to_itself(e)
+    if roots and n:
+        assert_mutations_rejected(e)
 
 
 def test_level_cap():
@@ -230,6 +278,75 @@ def test_idempotent_squares(any_preset, n):
     mat = idempotent(amb, n)
     assert mat.size == 2 ** abs(n)
     assert mat.is_idempotent()
+
+
+# -- E(n)^2 = E(n) through the row classes, against the plain square ----------
+
+CHECK_PRESETS = (*PRESETS, "lens(3,2,1/2)")
+
+
+@pytest.mark.parametrize("n", range(-3, 4))
+@pytest.mark.parametrize("name", CHECK_PRESETS)
+def test_idempotent_check_matches_plain_square(name, n):
+    amb = preset(name).ambient_algebra()
+    mat = idempotent(amb, n)
+    assert mat.entries == idempotent_entries(amb, n)
+    assert len(_row_classes(mat.entries)) == abs(n) + 1
+    assert mat.is_idempotent() and squares_to_itself(mat)
+    if n:
+        assert_mutations_rejected(mat)
+
+
+@pytest.mark.parametrize("amb, n", [
+    (preset("sphere").ambient_algebra(), 0),
+    (AmbientAlgebra(UniPoly({2: Fraction(-5, 3)}), 2, 3), 2),   # p = c z^k: one pair
+    (AmbientAlgebra(UniPoly({2: Fraction(-5, 3)}), 2, 3), -2),
+])
+def test_idempotent_one_by_one(amb, n):
+    mat = idempotent(amb, n)
+    assert mat.entries == ((amb.gwa().one(),),)
+    assert mat.is_idempotent() and squares_to_itself(mat)
+
+
+@pytest.mark.parametrize("n", [-5, 5])
+def test_idempotent_squares_at_level_five(sphere_amb, n):
+    # the plain square of these 32 x 32 matrices is too slow for this suite
+    mat = idempotent(sphere_amb, n)
+    assert mat.size == 32
+    assert mat.is_idempotent()
+
+
+@pytest.mark.parametrize("rows, expected", [
+    (((1, 0), (0, 0)), True),
+    (((0, 0), (0, 1)), True),
+    (((1, 1), (0, 0)), True),
+    (((0, 1), (0, 1)), True),
+    ((("1/2", "1/2"), ("1/2", "1/2")), True),
+    (((0, 0), (0, 0)), True),
+    (((1, 1), (1, 1)), False),
+    (((2, 0), (0, 0)), False),
+    (((0, 1), (0, 2)), False),
+])
+def test_idempotent_check_on_scalar_matrices(sphere_amb, rows, expected):
+    gwa = sphere_amb.gwa()
+    mat = IdemMatrix(1, tuple(tuple(gwa.from_scalar(c) for c in row) for row in rows))
+    assert mat.is_idempotent() is expected
+    assert squares_to_itself(mat) is expected
+
+
+@pytest.mark.parametrize("n", [-3, 3])
+def test_idempotent_projects_one_row_per_class(kleinian, monkeypatch, n):
+    amb = kleinian.ambient_algebra()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return project_degree_zero(*args)
+
+    monkeypatch.setattr(connection, "project_degree_zero", counted)
+    mat = idempotent(amb, n)
+    assert len(calls) == (abs(n) + 1) * 2 ** abs(n)     # 32, where entry by entry is 64
+    assert mat.entries == idempotent_entries(amb, n)
 
 
 def test_idempotent_json(sphere_amb):
